@@ -558,18 +558,6 @@ def majority(x: Sequence[int]) -> int:
     return 1 if 2 * ones > len(x) else 0
 
 
-def majority_table(n: int) -> int:
-    t = 0
-    for j in range(1 << n):
-        if 2 * _popcount(j) > n:
-            t |= 1 << j
-    return t
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 # ---------------------------------------------------------------------------
 # batched evaluator for wide circuits
 
@@ -645,6 +633,3 @@ def random_input_words(n_vars: int, n_samples: int, rng: np.random.Generator) ->
         words[:, -1] &= np.uint64((1 << tail) - 1)
     return words, n_words
 
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)

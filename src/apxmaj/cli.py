@@ -25,7 +25,7 @@ import numpy as np
 from . import compiler, gf2poly, verify as verify_mod
 from . import synthesis as synth_mod
 from .circuits import parse_formula, parse_netlist, serialize_netlist
-from .errors import ParseError, ResourceLimitError
+from .errors import DimensionError, ParseError, ResourceLimitError
 from .rng import rng_for
 
 EXIT_OK = 0
@@ -40,7 +40,6 @@ class RunConfig:
     trials: int = 2000
     threads: int = 1
     out: str = "out"
-    format: str = "json"
     max_n: int = 20
     max_width: int = synth_mod.DEFAULT_WIDTH_CAP
     overrides: dict = field(default_factory=dict)
@@ -58,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         return args.func(args, cfg)
-    except ParseError as e:
+    except (ParseError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as e:
@@ -80,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
         sp.add_argument("--max-n", type=int, default=None)
         sp.add_argument("--max-width", type=int, default=None)
 
@@ -131,7 +129,7 @@ def _config_from(args) -> RunConfig:
             if not hasattr(cfg, key):
                 raise ParseError(f"unknown config key '{key}'")
             setattr(cfg, key, value)
-    for key in ("seed", "trials", "threads", "out", "format"):
+    for key in ("seed", "trials", "threads", "out"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -271,8 +269,15 @@ def _plan_json(p) -> dict:
     }
 
 
+def _single_output_netlist(path: str):
+    dag = parse_netlist(Path(path).read_text())
+    if len(dag.outputs) != 1:
+        raise ParseError(f"netlist must have exactly one output, has {len(dag.outputs)}")
+    return dag
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
-    dag = parse_netlist(Path(args.netlist).read_text())
+    dag = _single_output_netlist(args.netlist)
     if args.mode == "exact" and dag.n_inputs > cfg.max_n:
         raise ResourceLimitError(
             f"exact mode capped at n <= {cfg.max_n} (circuit has {dag.n_inputs}); "
@@ -301,8 +306,7 @@ def cmd_degree(args, cfg: RunConfig) -> int:
             raise ParseError("--hex needs --n")
         table = verify_mod.TruthTable.from_hex(args.hex_table, args.n)
     else:
-        dag = parse_netlist(Path(args.netlist).read_text())
-        table = verify_mod.TruthTable.from_circuit(dag)
+        table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps, threads=cfg.threads)
     out = _outdir(cfg)
     doc = {

@@ -12,9 +12,12 @@ The resulting root error is at most 1/16 + 1/16 = 1/8 on every input, and the
 certified degree bound obeys the closed form checked by
 :func:`theoretical_degree`.
 
-Sampling is deterministic in (seed, node path), so a recipe, its pointwise
-evaluations and the Monte Carlo batches can be drawn independently and still
-agree.
+Sampling is deterministic in (seed, node path).  One traversal,
+:func:`_eval_node`, serves every sampler over one value algebra of packed
+uint64 words (`_PolyAlgebra` composes the same draws symbolically above
+n = 20).  :func:`sample` is the batch of one: its truth table is
+``sample_tables(recipe, 1, seed)[0]``, and :func:`eval_sample` evaluates that
+same polynomial at one point, at every n.
 """
 
 from __future__ import annotations
@@ -22,14 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
 
 from .circuits import FormulaNode, GateKind
-from .errors import DimensionError, ResourceLimitError
+from .errors import ResourceLimitError
 from .gf2poly import (
     SparsePolyF2,
+    _as_mask,
     add,
     elementary_symmetric_combine,
     from_truth_table,
@@ -37,7 +42,10 @@ from .gf2poly import (
     mobius_transform,
     mul,
     one,
+    table_words,
+    valid_words,
     variable,
+    variable_words,
     zero,
 )
 from .rng import rng_for
@@ -361,89 +369,73 @@ def formula_size_lower_bound(n: int, d: int, degree_lb: int, c2: float = C2) -> 
 
 
 # ---------------------------------------------------------------------------
-# sampling: one traversal, pluggable value algebras
+# sampling: one traversal, two value algebras
 
-class _TableAlgebra:
-    """Values are 2^n-bit ints (bit j = value at assignment j)."""
+def _draw_subsets(seed: int, path: tuple, k: int, lanes: int, m: int) -> np.ndarray:
+    """(k, lanes, m) subset-selection bits of one gate, one row per sample."""
+    return rng_for(seed, *path, "subsets-batch").integers(0, 2, size=(k, lanes, m), dtype=np.uint8)
 
-    def __init__(self, n: int):
-        self.n = n
-        self.bits = 1 << n
-        self.full = (1 << self.bits) - 1
-        self._vars: dict[int, int] = {}
 
-    def var(self, i: int) -> int:
-        if i not in self._vars:
-            half = 1 << i
-            unit = ((1 << half) - 1) << half
-            rep = (self.full // ((1 << (half * 2)) - 1)) if self.bits > half * 2 else 1
-            self._vars[i] = unit * rep & self.full
-        return self._vars[i]
+class _WordAlgebra:
+    """Values are (lanes, W) uint64 words, one row per independent sample,
+    computed from given (n, W) input words; `full` masks the valid bits.
 
-    def const(self, b: int) -> int:
-        return self.full if b else 0
+    On the enumeration words of :func:`variable_words` a row is a packed
+    truth table; on one word holding x it is the sample's value at x.
+    """
 
-    def lnot(self, v: int) -> int:
+    xor = staticmethod(np.bitwise_xor)
+    and_ = staticmethod(np.bitwise_and)
+
+    def __init__(self, inputs: np.ndarray, full: np.ndarray, lanes: int):
+        self.inputs = inputs
+        self.full = full
+        self.shape = (lanes, inputs.shape[1])
+
+    def var(self, i: int) -> np.ndarray:
+        return np.broadcast_to(self.inputs[i], self.shape)
+
+    def const(self, b: int) -> np.ndarray:
+        return np.broadcast_to(self.full if b else np.zeros_like(self.full), self.shape)
+
+    def lnot(self, v):
         return v ^ self.full
 
-    def fold_xor(self, vs):
-        acc = 0
-        for v in vs:
-            acc ^= v
-        return acc
-
-    def fold_and(self, vs):
-        acc = self.full
-        for v in vs:
-            acc &= v
-        return acc
-
     def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        return rng_for(seed, *path, "subsets").integers(0, 2, size=(k, m), dtype=np.uint8)
+        return _draw_subsets(seed, path, k, self.shape[0], m)
 
-    def subset_parity(self, values, row) -> int:
-        acc = 0
+    def subset_parity(self, values, row) -> np.ndarray:
+        # row: (lanes, m) selection bits for this factor
+        acc = np.zeros(self.shape, dtype=np.uint64)
         for i, v in enumerate(values):
-            if row[i]:
-                acc ^= v
+            acc ^= v & -row[:, i, None].astype(np.uint64)
         return acc
 
-    def majority(self, copies) -> int:
-        t = len(copies)
-        thr = (t + 1) // 2
-        planes: list[int] = []  # bitsliced per-assignment counters
-        for tab in copies:
+    def majority(self, copies) -> np.ndarray:
+        planes: list[np.ndarray] = []  # bitsliced per-bit counters
+        for c, tab in enumerate(copies, 1):
             carry = tab
-            for j in range(len(planes)):
-                planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            if carry:
+            for j, p in enumerate(planes):
+                planes[j], carry = p ^ carry, p & carry
+            if len(planes) < c.bit_length():
                 planes.append(carry)
-        ge = 0
+        thr = (len(copies) + 1) // 2
+        ge = np.zeros(self.shape, dtype=np.uint64)
         eq = self.full
-        for j in range(max(len(planes), thr.bit_length()) - 1, -1, -1):
-            p = planes[j] if j < len(planes) else 0
+        for j in range(len(planes) - 1, -1, -1):
             if (thr >> j) & 1:
-                eq &= p
+                eq = eq & planes[j]
             else:
-                ge |= eq & p
-                eq &= self.lnot(p)
+                ge |= eq & planes[j]
+                eq = eq & ~planes[j]
         return ge | eq
-
-
-class _PointAlgebra(_TableAlgebra):
-    """Values are single bits at a fixed assignment; draws match _TableAlgebra."""
-
-    def __init__(self, n: int, x_mask: int):
-        super().__init__(0)  # bits=1, full=1
-        self.nvars = n
-        self.x = x_mask
-
-    def var(self, i: int) -> int:
-        return (self.x >> i) & 1
 
 
 class _PolyAlgebra:
     """Values are SparsePolyF2; multilinear reduction keeps ANF canonical."""
+
+    xor = staticmethod(add)
+    and_ = staticmethod(mul)
 
     def __init__(self, n: int):
         self.n = n
@@ -457,97 +449,15 @@ class _PolyAlgebra:
     def lnot(self, v):
         return add(one(self.n), v)
 
-    def fold_xor(self, vs):
-        acc = zero(self.n)
-        for v in vs:
-            acc = add(acc, v)
-        return acc
-
-    def fold_and(self, vs):
-        acc = one(self.n)
-        for v in vs:
-            acc = mul(acc, v)
-        return acc
-
-    draw_subsets = _TableAlgebra.draw_subsets
+    def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
+        return _draw_subsets(seed, path, k, 1, m)[:, 0]
 
     def subset_parity(self, values, row):
-        acc = zero(self.n)
-        for i, v in enumerate(values):
-            if row[i]:
-                acc = add(acc, v)
-        return acc
+        return reduce(add, (v for v, b in zip(values, row) if b), zero(self.n))
 
     def majority(self, copies):
         t = len(copies)
         return elementary_symmetric_combine(majority_anf_coefficients(t), copies)
-
-
-class _BatchAlgebra:
-    """Values are (n_samples, 2^n/8) uint8 packed truth tables, one row per
-    independent sample; subset draws vary per sample."""
-
-    def __init__(self, n: int, n_samples: int):
-        self.n = n
-        self.bits = 1 << n
-        self.nbytes = max(1, self.bits // 8)
-        self.s = n_samples
-        self.tail_mask = np.uint8(0xFF if self.bits >= 8 else (1 << self.bits) - 1)
-
-    def var(self, i: int) -> np.ndarray:
-        row = np.empty(self.nbytes, dtype=np.uint8)
-        if i == 0:
-            row[:] = 0xAA
-        elif i == 1:
-            row[:] = 0xCC
-        elif i == 2:
-            row[:] = 0xF0
-        else:
-            idx = np.arange(self.nbytes)
-            row[:] = np.where((idx >> (i - 3)) & 1, 0xFF, 0)
-        row &= self.tail_mask
-        return np.broadcast_to(row, (self.s, self.nbytes)).copy()
-
-    def const(self, b: int) -> np.ndarray:
-        v = np.full((self.s, self.nbytes), 0xFF if b else 0, dtype=np.uint8)
-        v &= self.tail_mask
-        return v
-
-    def lnot(self, v):
-        return (v ^ np.uint8(0xFF)) & self.tail_mask
-
-    def fold_xor(self, vs):
-        acc = vs[0].copy()
-        for v in vs[1:]:
-            acc ^= v
-        return acc
-
-    def fold_and(self, vs):
-        acc = vs[0].copy()
-        for v in vs[1:]:
-            acc &= v
-        return acc
-
-    def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        rng = rng_for(seed, *path, "subsets-batch")
-        return rng.integers(0, 2, size=(k, self.s, m), dtype=np.uint8)
-
-    def subset_parity(self, values, row) -> np.ndarray:
-        # row: (n_samples, m) selection bits for this factor
-        acc = np.zeros((self.s, self.nbytes), dtype=np.uint8)
-        for i, v in enumerate(values):
-            sel = (row[:, i] * np.uint8(0xFF))[:, None]
-            acc ^= v & sel
-        return acc
-
-    def majority(self, copies) -> np.ndarray:
-        t = len(copies)
-        stack = np.stack(copies)  # (t, s, nbytes)
-        bits = np.unpackbits(stack, axis=-1, bitorder="little", count=self.bits)
-        counts = bits.astype(np.uint16).sum(axis=0)
-        maj = (counts >= (t + 1) // 2).astype(np.uint8)
-        packed = np.packbits(maj, axis=-1, bitorder="little")
-        return packed[:, : self.nbytes]
 
 
 def _eval_node(node: RecipeNode, alg, seed: int, path: tuple):
@@ -567,56 +477,74 @@ def _eval_node(node: RecipeNode, alg, seed: int, path: tuple):
     if kind is GateKind.NOT:
         return alg.lnot(values[0])
     if kind is GateKind.XOR:
-        return alg.fold_xor(values)
+        return reduce(alg.xor, values)
     subsets = alg.draw_subsets(seed, path, node.approx.k, len(values))
     if kind is GateKind.AND:
         values = [alg.lnot(v) for v in values]
     factors = [alg.lnot(alg.subset_parity(values, subsets[j])) for j in range(node.approx.k)]
-    product = alg.fold_and(factors)
+    product = reduce(alg.and_, factors)
     return product if kind is GateKind.AND else alg.lnot(product)
 
 
 def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
-    """Draw one polynomial; deterministic in seed, degree <= degree_bound."""
+    """Draw one polynomial: the batch of one, ``sample_tables(recipe, 1, seed)[0]``.
+
+    Deterministic in seed, degree <= degree_bound.  Above n = 20 the same
+    draws are composed symbolically.
+    """
     n = recipe.n
     if n <= SAMPLE_TABLE_MAX_N:
-        table = _eval_node(recipe.root, _TableAlgebra(n), seed, ())
-        return from_truth_table(table, n)
+        row = sample_tables(recipe, 1, seed)[0]
+        return from_truth_table(int.from_bytes(row.tobytes(), "little"), n)
     return _eval_node(recipe.root, _PolyAlgebra(n), seed, ())
 
 
 def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial."""
-    if isinstance(x, int):
-        mask = x
-    else:
-        if len(x) != recipe.n:
-            raise DimensionError(f"expected {recipe.n} bits, got {len(x)}")
-        mask = 0
-        for i, b in enumerate(x):
-            if b & 1:
-                mask |= 1 << i
-    return _eval_node(recipe.root, _PointAlgebra(recipe.n, mask), seed, ()) & 1
+    mask = _as_mask(recipe.n, x)
+    inputs = np.array([mask >> i & 1 for i in range(recipe.n)], dtype=np.uint64)[:, None]
+    alg = _WordAlgebra(inputs, np.ones(1, dtype=np.uint64), 1)
+    return int(_eval_node(recipe.root, alg, seed, ())[0, 0])
 
 
 def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, 2^n/8) packed truth tables of independent samples.
+    """(n_samples, max(1, 2^n/8)) packed truth tables of independent samples.
 
     Each row is one sampled polynomial's function table (bit j = value at
-    assignment j); rows use independent draws derived from the one seed.
+    assignment j, little-endian bytes); rows use independent draws derived
+    from the one seed.
     """
-    if recipe.n > SAMPLE_TABLE_MAX_N:
+    n = recipe.n
+    if n > SAMPLE_TABLE_MAX_N:
         raise ResourceLimitError(f"batched sampling capped at n <= {SAMPLE_TABLE_MAX_N}")
-    alg = _BatchAlgebra(recipe.n, n_samples)
-    return _eval_node(recipe.root, alg, seed, ())
+    alg = _WordAlgebra(variable_words(n), valid_words(n), n_samples)
+    words = _eval_node(recipe.root, alg, seed, ())
+    tables = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.ascontiguousarray(tables[:, : max(1, (1 << n) // 8)])
 
 
 def table_degrees(tables: np.ndarray, n: int) -> np.ndarray:
-    """ANF degree of each packed table row."""
-    bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << n)
-    coeffs = mobius_transform(bits)
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
-    return np.max(np.where(coeffs == 1, weights[None, :], 0), axis=1)
+    """ANF degree of each packed table row (the layout of sample_tables)."""
+    rows = np.ascontiguousarray(tables, dtype=np.uint8)
+    pad = 8 * table_words(n) - rows.shape[-1]
+    if pad:
+        rows = np.pad(rows, ((0, 0), (0, pad)))
+    coeffs = mobius_transform(rows.view("<u8"), n)
+    masks = _weight_words(n)
+    degrees = np.zeros(len(coeffs), dtype=np.uint8)
+    for d in range(1, n + 1):
+        degrees[(coeffs & masks[d]).any(axis=1)] = d
+    return degrees
+
+
+def _weight_words(n: int) -> np.ndarray:
+    """(n+1, W) masks: row d selects the table entries of Hamming weight d."""
+    out = np.zeros((n + 1, table_words(n)), dtype=np.uint64)
+    cols = np.arange(out.shape[1])
+    for e in range(min(n, 6) + 1):
+        low = sum(1 << b for b in range(min(64, 1 << n)) if b.bit_count() == e)
+        out[np.bitwise_count(cols) + e, cols] = low
+    return out
 
 
 # ---------------------------------------------------------------------------

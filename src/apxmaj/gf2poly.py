@@ -123,6 +123,30 @@ def compose(p: SparsePolyF2, qs: Sequence[SparsePolyF2]) -> SparsePolyF2:
     return SparsePolyF2(n_out, frozenset(acc))
 
 
+# Packed truth tables: bit b of word w is the value at assignment 64*w + b.
+# Bit b of _LOW_VARS[i] is bit i of b, the table of x_i within one word.
+_LOW_VARS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6))
+
+
+def table_words(n: int) -> int:
+    """uint64 words in a packed 2^n-entry truth table."""
+    return max(1, (1 << n) >> 6)
+
+
+def valid_words(n: int) -> np.ndarray:
+    """(W,) mask of the 2^n table entries (below 64 entries, the low bits)."""
+    return np.full(table_words(n), ~np.uint64(0) >> np.uint64(64 - min(64, 1 << n)))
+
+
+def variable_words(n: int) -> np.ndarray:
+    """(n, W) packed truth tables of x_0 .. x_{n-1}."""
+    out = np.empty((n, table_words(n)), dtype=np.uint64)
+    word_index = np.arange(out.shape[1], dtype=np.uint64)
+    for i in range(n):
+        out[i] = _LOW_VARS[i] if i < 6 else -(word_index >> np.uint64(i - 6) & np.uint64(1))
+    return out & valid_words(n)
+
+
 def from_truth_table(bits: int | Sequence[int], n: int) -> SparsePolyF2:
     """Unique multilinear ANF of a truth table (Moebius transform over F2).
 
@@ -130,44 +154,53 @@ def from_truth_table(bits: int | Sequence[int], n: int) -> SparsePolyF2:
     """
     if n > TRUTH_TABLE_MAX_N:
         raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}, got {n}")
-    size = 1 << n
-    if isinstance(bits, int):
-        raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        arr = np.unpackbits(raw, bitorder="little", count=size)
-    else:
-        if len(bits) != size:
-            raise DimensionError(f"expected {size} table entries, got {len(bits)}")
-        arr = np.fromiter((b & 1 for b in bits), dtype=np.uint8, count=size)
-    coeffs = mobius_transform(arr[np.newaxis, :])[0]
-    return SparsePolyF2(n, frozenset(int(j) for j in np.nonzero(coeffs)[0]))
+    table = _as_mask(1 << n, bits)
+    words = np.frombuffer(table.to_bytes(8 * table_words(n), "little"), dtype="<u8")
+    coeffs = mobius_transform(words & valid_words(n), n)
+    return SparsePolyF2(n, frozenset(_set_bits(coeffs)))
 
 
-def mobius_transform(rows: np.ndarray) -> np.ndarray:
-    """In-place-style XOR Moebius transform along the last axis (self-inverse).
+def mobius_transform(rows: np.ndarray, n: int) -> np.ndarray:
+    """XOR Moebius transform of packed truth tables along the last axis
+    (self-inverse).
 
-    rows: (..., 2^n) uint8 of 0/1.  Returns the coefficient array: entry S is
-    the ANF coefficient of the monomial with variable set S.
+    rows: (..., W) uint64, W = table_words(n).  Returns the coefficient words:
+    bit S is the ANF coefficient of the monomial with variable set S.  For
+    i < 6 variable i pairs bits within a word (masked shift-XOR); for i >= 6
+    it pairs whole words.  Bits past 2^n never reach the first 2^n.
     """
-    a = rows.copy()
-    size = a.shape[-1]
-    n = size.bit_length() - 1
-    if 1 << n != size:
-        raise DimensionError("last axis must have power-of-two length")
-    for i in range(n):
-        v = a.reshape(-1, size >> (i + 1), 2, 1 << i)
+    words = table_words(n)
+    if rows.shape[-1] != words:
+        raise DimensionError(f"expected {words} words for n={n}, got {rows.shape[-1]}")
+    a = np.array(rows, dtype=np.uint64)
+    for i in range(min(n, 6)):
+        a ^= (a << np.uint64(1 << i)) & _LOW_VARS[i]
+    for i in range(6, n):
+        v = a.reshape(-1, words >> (i - 5), 2, 1 << (i - 6))
         v[:, :, 1, :] ^= v[:, :, 0, :]
     return a
+
+
+def _set_bits(words: np.ndarray) -> list[int]:
+    """Indices of the set bits of a packed (W,) table."""
+    out = []
+    for w in np.flatnonzero(words):
+        x, base = int(words[w]), int(w) << 6
+        while x:
+            low = x & -x
+            out.append(base + low.bit_length() - 1)
+            x ^= low
+    return out
 
 
 def to_truth_table(p: SparsePolyF2) -> int:
     if p.n > TRUTH_TABLE_MAX_N:
         raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}")
-    size = 1 << p.n
-    coeffs = np.zeros(size, dtype=np.uint8)
-    for m in p.monomials:
-        coeffs[m] = 1
-    vals = mobius_transform(coeffs[np.newaxis, :])[0]
-    return int.from_bytes(np.packbits(vals, bitorder="little").tobytes(), "little")
+    coeffs = np.zeros(table_words(p.n), dtype=np.uint64)
+    monos = np.fromiter(p.monomials, dtype=np.uint64, count=len(p.monomials))
+    np.bitwise_or.at(coeffs, monos >> np.uint64(6), np.uint64(1) << (monos & np.uint64(63)))
+    vals = mobius_transform(coeffs, p.n)
+    return int.from_bytes(vals.astype("<u8").tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 
 from .circuits import CircuitDag, Gate, GateKind, PackedEvaluator
 from .errors import ApxMajError, ResourceLimitError
+from .gf2poly import _as_mask
 from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
@@ -391,18 +392,6 @@ def empirical_level_check(result: SynthResult, x: Sequence[int] | int) -> list[L
             band_membership=membership,
         ))
     return out
-
-
-def _as_mask(n: int, x: Sequence[int] | int) -> int:
-    if isinstance(x, int):
-        return x
-    if len(x) != n:
-        raise ValueError(f"expected {n} bits, got {len(x)}")
-    mask = 0
-    for i, b in enumerate(x):
-        if b & 1:
-            mask |= 1 << i
-    return mask
 
 
 def resample_until_valid(p: SynthPlan, witnesses: Sequence[Sequence[int] | int],

@@ -271,13 +271,16 @@ def agreement(f, g, mode: str = "exact", trials: int = 100_000,
         raise ValueError(f"unknown mode '{mode}'")
     if seed is None:
         raise ValueError("mc mode needs a seed")
-    eq = trials - _mc_disagreements(f, g, trials, seed)
+    eq = trials - _mc_disagreements(n, _make_word_evaluator(f), _make_word_evaluator(g),
+                                    trials, seed)
     lo, hi = wilson_interval(eq, trials)
     return AgreementReport(eq / trials, lo, hi, trials, seed, False)
 
 
-def _mc_disagreements(f, g, trials: int, seed: int, chunk_words: int = 256) -> int:
-    n = _n_of(f)
+def _mc_disagreements(n: int, evf, evg, trials: int, seed: int,
+                      chunk_words: int = 256) -> int:
+    """Lanes where two (n, w) -> (w,) word evaluators differ, over `trials`
+    uniform inputs."""
     rng = rng_for(seed, "mc-agreement")
     words, n_words = random_input_words(n, trials, rng)
     # padding lanes in the last word would evaluate both sides at 0..0
@@ -285,8 +288,6 @@ def _mc_disagreements(f, g, trials: int, seed: int, chunk_words: int = 256) -> i
     tail = trials - (n_words - 1) * 64
     if tail < 64:
         lane_mask[-1] = np.uint64((1 << tail) - 1)
-    evf = _make_word_evaluator(f)
-    evg = _make_word_evaluator(g)
     bad = 0
     for start in range(0, n_words, chunk_words):
         chunk = words[:, start:start + chunk_words]
@@ -297,8 +298,6 @@ def _mc_disagreements(f, g, trials: int, seed: int, chunk_words: int = 256) -> i
 
 def _make_word_evaluator(f):
     """(n, w) uint64 input words -> (w,) uint64 output words."""
-    if isinstance(f, _MajWords):
-        return lambda words: _majority_words(f.n, words)
     tab, circ = _as_table_or_circuit(f)
     if circ is not None:
         pe = PackedEvaluator(circ)
@@ -341,23 +340,14 @@ def certify_approx_majority(c, eps: float, mode: str = "exact",
         rep = agreement(c, majority_truth_table(n), "exact")
         dis = 1.0 - rep.estimate
         return CertificationReport(n, eps, mode, dis, dis, dis, rep.trials, None, dis <= eps)
-    bad = _mc_disagreements(c, _maj_evaluator_stub(n), trials, seed)
+    bad = _mc_disagreements(n, _make_word_evaluator(c),
+                            lambda words: _majority_words(n, words), trials, seed)
     lo, hi = wilson_interval(bad, trials)
     return CertificationReport(n, eps, mode, bad / trials, lo, hi, trials, seed, hi <= eps)
 
 
-class _MajWords:
-    """Majority as a word evaluator (popcount over variable words per lane)."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-
-def _maj_evaluator_stub(n: int) -> "_MajWords":
-    return _MajWords(n)
-
-
 def _majority_words(n: int, words: np.ndarray) -> np.ndarray:
+    """Majority as a word evaluator (popcount over variable words per lane)."""
     counts = np.zeros(words.shape[1] * 64, dtype=np.uint16)
     for i in range(n):
         counts += np.unpackbits(words[i].view(np.uint8), bitorder="little")

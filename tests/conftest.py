@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from apxmaj.circuits import CircuitDag, FormulaNode, Gate, GateKind
+from apxmaj.errors import DimensionError
 
 GATE_CHOICES = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT)
 
@@ -67,6 +68,23 @@ def oracle_table_dag(c: CircuitDag, output: int = 0) -> int:
         x = [(j >> i) & 1 for i in range(c.n_inputs)]
         table |= oracle_eval_dag(c, x)[output] << j
     return table
+
+
+def oracle_mobius_transform(rows: np.ndarray) -> np.ndarray:
+    """In-place-style XOR Moebius transform along the last axis (self-inverse).
+
+    rows: (..., 2^n) uint8 of 0/1.  Returns the coefficient array: entry S is
+    the ANF coefficient of the monomial with variable set S.
+    """
+    a = rows.copy()
+    size = a.shape[-1]
+    n = size.bit_length() - 1
+    if 1 << n != size:
+        raise DimensionError("last axis must have power-of-two length")
+    for i in range(n):
+        v = a.reshape(-1, size >> (i + 1), 2, 1 << i)
+        v[:, :, 1, :] ^= v[:, :, 0, :]
+    return a
 
 
 def random_formula(rng: np.random.Generator, n: int, depth: int,

@@ -39,7 +39,7 @@ from apxmaj.circuits import GateKind, PackedEvaluator, formula_to_dag, parse_for
 from apxmaj.cli import _lemma_tuples
 from apxmaj.rng import rng_for
 
-from conftest import oracle_table_formula, random_dag, random_formula
+from conftest import oracle_mobius_transform, oracle_table_formula, random_dag, random_formula
 
 # Pinned seeds: the Monte Carlo criteria are deterministic given these.
 SEED_C1 = 20250809
@@ -355,7 +355,7 @@ def test_c7_degree_oracle():
     all_funcs = np.arange(1 << 16, dtype=np.uint32)
     bits = np.unpackbits(all_funcs.view(np.uint8).reshape(-1, 4)[:, :2],
                          axis=-1, bitorder="little").reshape(-1, 16)
-    coeffs = g.mobius_transform(bits)
+    coeffs = oracle_mobius_transform(bits)
     weights = np.bitwise_count(np.arange(16, dtype=np.uint32)).astype(np.uint8)
     anf_deg = np.max(np.where(coeffs == 1, weights[None, :], 0), axis=1)
     span_deg = np.full(1 << 16, 255, dtype=np.uint8)

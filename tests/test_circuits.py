@@ -15,7 +15,6 @@ from apxmaj.circuits import (
     exhaustive_table,
     formula_to_dag,
     majority,
-    majority_table,
     parse_formula,
     parse_netlist,
     serialize_formula,
@@ -23,6 +22,7 @@ from apxmaj.circuits import (
     unfold_to_formula,
 )
 from apxmaj.errors import ParseError
+from apxmaj.verify import majority_truth_table
 
 from conftest import oracle_eval_dag, oracle_table_dag, oracle_table_formula, random_dag
 
@@ -231,7 +231,7 @@ def test_majority_examples():
 
 
 def test_majority_table_small():
-    assert majority_table(3) == 0xE8
+    assert majority_truth_table(3).bits == 0xE8
 
 
 def test_formula_to_dag_consistency(rng):

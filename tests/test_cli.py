@@ -148,3 +148,30 @@ def test_unknown_override_rejected(workdir, capsys):
     rc = run(["synth", "--n", "31", "--d", "2", "--eps", "0.25",
               "--override", "Q=1", "--out", "x"])
     assert rc == EXIT_USAGE
+
+
+NO_OUTPUT_NETLIST = "input x0\ninput x1\ng = AND x0 x1\n"
+TWO_OUTPUT_NETLIST = "input x0\ninput x1\ng = AND x0 x1\nh = OR x0 x1\noutput g\noutput h\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (NO_OUTPUT_NETLIST, ["verify", "c.netlist", "--eps", "0.25", "--out", "v"]),
+    (NO_OUTPUT_NETLIST, ["degree", "--netlist", "c.netlist", "--eps", "0.25", "--out", "d"]),
+    (TWO_OUTPUT_NETLIST, ["verify", "c.netlist", "--eps", "0.25", "--out", "v"]),
+    (TWO_OUTPUT_NETLIST, ["degree", "--netlist", "c.netlist", "--eps", "0.25", "--out", "d"]),
+    (None, ["degree", "--hex", "f", "--n", "1", "--eps", "0.25", "--out", "d"]),
+], ids=["verify-no-output", "degree-no-output", "verify-two-outputs",
+        "degree-two-outputs", "degree-hex-too-wide"])
+def test_bad_input_exits_2_with_one_line(workdir, capsys, text, argv):
+    if text is not None:
+        (workdir / "c.netlist").write_text(text)
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_format_flag_removed(workdir, capsys):
+    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
+    assert run(["compile", "f.sexpr", "--format", "csv", "--out", "o"]) == EXIT_USAGE
+    assert not (workdir / "o").exists()

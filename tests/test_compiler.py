@@ -161,6 +161,30 @@ def test_sample_deterministic_and_consistent():
     assert C.sample(r, 124) != p1 or True  # different seeds may coincide, no assert
 
 
+def test_sample_is_the_batch_of_one(rng):
+    # one word algebra serves sample, eval_sample and sample_tables: the
+    # drawn polynomial's table is sample_tables(r, 1, s)[0], and its degree is
+    # what table_degrees reads off that packed row
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        r = C.compile_formula(random_formula(rng, n, int(rng.integers(1, 4)), max_size=16))
+        s = int(rng.integers(2**32))
+        p = C.sample(r, s)
+        row = C.sample_tables(r, 1, s)[0]
+        assert g.to_truth_table(p) == int.from_bytes(row.tobytes(), "little")
+        assert int(C.table_degrees(row[None, :], r.n)[0]) == p.degree
+
+
+@pytest.mark.parametrize("kind", ["or", "and"])
+def test_eval_sample_matches_poly_sampler_above_table_cap(rng, kind):
+    n = 22  # above SAMPLE_TABLE_MAX_N: sample() composes polynomials symbolically
+    r = C.compile_formula(parse_formula(f"({kind} " + " ".join(f"x{i}" for i in range(n)) + ")"))
+    for s in (3, 4):
+        p = C.sample(r, s)
+        for x in rng.integers(0, 1 << n, size=64):
+            assert C.eval_sample(r, int(x), s) == g.eval_poly(p, int(x))
+
+
 def test_single_xor_recipe_has_no_randomness():
     r = C.compile_formula(parse_formula("(xor x0 x1 x2)"))
     polys = {C.sample(r, s) for s in range(10)}

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from apxmaj import gf2poly as g
 from apxmaj.errors import DimensionError, ResourceLimitError
 
+from conftest import oracle_mobius_transform
+
 
 def brute_table(p: g.SparsePolyF2) -> list[int]:
     """Independent pointwise evaluation: XOR over monomials of AND of vars."""
@@ -82,12 +84,28 @@ def test_from_truth_table_examples():
     assert g.from_truth_table(0xE8, 3) == g.parse_poly("x0*x1 + x0*x2 + x1*x2", 3)
 
 
+def _pack_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """(rows, 2^n) 0/1 uint8 -> (rows, W) uint64 packed tables."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros((bits.shape[0], 8 * g.table_words(n)), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8")
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_packed_mobius_matches_uint8_oracle(rng, n):
+    bits = rng.integers(0, 2, size=(16, 1 << n), dtype=np.uint8)
+    got = g.mobius_transform(_pack_rows(bits, n), n)
+    assert np.array_equal(got, _pack_rows(oracle_mobius_transform(bits), n))
+    assert np.array_equal(g.mobius_transform(got, n), _pack_rows(bits, n))
+
+
 def test_truth_table_guard():
     with pytest.raises(ResourceLimitError):
         g.from_truth_table(0, 25)
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), polys(n))))
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), polys(n))))
 @settings(max_examples=80, deadline=None)
 def test_roundtrip_and_semantics(np_):
     n, p = np_
