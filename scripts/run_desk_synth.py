@@ -36,8 +36,8 @@ def main() -> int:
         print("  " + spec.describe())
 
     result = synth_mod.synth(plan, args.seed)
-    print(f"circuit: {result.dag.size} gates, depth {result.dag.depth}, "
-          f"monotone={result.dag.is_monotone()}")
+    print(f"circuit: depth={result.dag.depth} gates={result.dag.size} "
+          f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
 
     cert = verify_mod.certify_approx_majority(
         result.dag, args.eps, "mc", trials=args.trials, seed=args.seed)

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
+        sp.add_argument("--trials", type=_int_or_text, default=None)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--max-n", type=int, default=None)
@@ -133,6 +133,8 @@ def _config_from(args) -> RunConfig:
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
+    if isinstance(cfg.trials, bool) or not isinstance(cfg.trials, int) or cfg.trials < 1:
+        raise ParseError(f"trials must be a positive integer, got {cfg.trials!r}")
     if getattr(args, "max_n", None) is not None:
         cfg.max_n = args.max_n
     if getattr(args, "max_width", None) is not None:
@@ -140,6 +142,15 @@ def _config_from(args) -> RunConfig:
     if getattr(args, "override", None):
         cfg.overrides = _parse_overrides(args.override)
     return cfg
+
+
+def _int_or_text(text: str):
+    """argparse type that leaves a non-integer as text, so _config_from
+    rejects it with the same one-line message as a bad --config value."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _parse_overrides(text: str) -> dict:
@@ -238,7 +249,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
             })
     verify_mod.emit_report(band_rows, out / "bands.csv", "csv", meta={"seed": cfg.seed})
     print(f"synthesized: depth={result.dag.depth} gates={result.dag.size} "
-          f"monotone={result.dag.is_monotone()}")
+          f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
     return EXIT_OK
 
 
@@ -284,7 +295,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             f"use --mode mc or raise --max-n")
     if args.mode == "mc":
         report = verify_mod.certify_approx_majority(
-            dag, args.eps, "mc", trials=max(cfg.trials, 1), seed=cfg.seed)
+            dag, args.eps, "mc", trials=cfg.trials, seed=cfg.seed)
     else:
         report = verify_mod.certify_approx_majority(dag, args.eps, "exact")
     out = _outdir(cfg)
@@ -410,7 +421,7 @@ def _check_lemma(grid, cfg: RunConfig) -> dict:
     if grid and "tuples" in grid:
         tuples = [(t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"]]
     else:
-        tuples = list(_lemma_tuples(cfg.trials if cfg.trials else 1000, cfg.seed))
+        tuples = list(_lemma_tuples(cfg.trials, cfg.seed))
     for a, s, m, n, gamma, k in tuples:
         rep = synth_mod.check_technical_lemma(a, s, m, n, gamma, k)
         if not rep.hypotheses_ok:

@@ -158,11 +158,26 @@ class SynthPlan:
         return BiasBands(self.n, self.eps, self.a, math.exp(min(self.log_m, 700.0)))
 
 
+# override key -> (lower bound, whether the bound is strict); every value
+# must also be finite
+_OVERRIDE_LOWER = {"A": (1, False), "M": (1, False), "M_top": (1, False),
+                   "logM": (0, False), "logM_top": (0, False), "s_top": (0, True)}
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def plan(n: int, d: int, eps: float, overrides: dict | None = None,
          width_cap: int = DEFAULT_WIDTH_CAP) -> SynthPlan:
     """Parameter sheet for the construction; overrides switch to desk mode.
 
-    Recognized override keys: A, M, logM, M_top, logM_top, s_top.
+    Recognized override keys: A, M, logM, M_top, logM_top, s_top.  Each
+    value must be finite, with A, M, M_top >= 1, logM, logM_top >= 0 and
+    s_top > 0; any other value raises a ValueError naming its key.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -171,14 +186,17 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
     if not 0 < eps <= 0.5:
         raise ValueError("need 0 < eps <= 1/2")
     ov = dict(overrides or {})
-    unknown = set(ov) - {"A", "M", "logM", "M_top", "logM_top", "s_top"}
+    unknown = set(ov) - set(_OVERRIDE_LOWER)
     if unknown:
         raise ValueError(f"unknown overrides: {sorted(unknown)}")
+    for key, value in ov.items():
+        lower, strict = _OVERRIDE_LOWER[key]
+        if not (_finite(value) and (value > lower if strict else value >= lower)):
+            raise ValueError(f"override {key} must be finite and {'>' if strict else '>='} "
+                             f"{lower}, got {value!r}")
     desk = bool(ov)
 
     a = int(ov.get("A", math.floor(n ** (1.0 / (2 * (d - 1))))))
-    if a < 1:
-        raise ValueError("fan-in A must be >= 1")
     log_m = math.log(ov["M"]) if "M" in ov else float(ov.get("logM", 10.0 * a))
     if "M_top" in ov:
         log_m_top = math.log(ov["M_top"])
@@ -203,8 +221,9 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
     if desk:
         center = 0.5**a                      # exact mean-field ones-fraction at w = n/2
         lam = -math.log1p(-center)
-        log_t_mid = math.log(max(a * math.log(2.0) / lam, 1.0))
-        log_t_pen = math.log(max(s_top / lam, 1.0))
+        # past A = 1074, 2^-A underflows to 0: such fan-ins exceed every cap
+        log_t_mid = math.log(max(a * math.log(2.0) / lam, 1.0)) if lam else math.inf
+        log_t_pen = math.log(max(s_top / lam, 1.0)) if lam else math.inf
     else:
         log_t_mid = a + math.log(a) if a > 1 else a  # ceil(e^A * A)
         log_t_pen = a + math.log(s_top)
@@ -217,7 +236,8 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
 
     levels: list[LevelSpec] = []
     kind_at = lambda i: GateKind.AND if i % 2 == 1 else GateKind.OR
-    levels.append(LevelSpec(1, GateKind.AND, log_m, math.log(a), materialize(log_m), a))
+    levels.append(LevelSpec(1, GateKind.AND, log_m, math.log(a), materialize(log_m),
+                            a if a <= width_cap else None))
     for i in range(2, d - 1):
         levels.append(LevelSpec(i, kind_at(i), log_m, log_t_mid,
                                 materialize(log_m), materialize(log_t_mid)))

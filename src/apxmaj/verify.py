@@ -64,7 +64,7 @@ class TruthTable:
 
     @classmethod
     def from_circuit(cls, c: CircuitDag, output: int = 0) -> "TruthTable":
-        return cls(c.n_inputs, exhaustive_table(c, output, max_n=EXACT_AGREEMENT_MAX_N))
+        return cls(c.n_inputs, exhaustive_table(c.cone(), output, max_n=EXACT_AGREEMENT_MAX_N))
 
     @classmethod
     def from_poly(cls, p: SparsePolyF2) -> "TruthTable":
@@ -200,15 +200,17 @@ def _scan_level(n: int, basis: list[int], f_bits: int, allowed: int,
         return None, int(dist.min())
 
     best = 1 << n
-    if threads <= 1 or n_blocks == 1:
-        block_results = map(scan_block, range(n_blocks))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        block_results = pool.map(scan_block, range(n_blocks))
-    for h, (first, d) in enumerate(block_results):
-        if first is not None:
-            return (h << low) | first, d
-        best = min(best, d)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and n_blocks > 1 else None
+    try:
+        block_results = (pool.map if pool else map)(scan_block, range(n_blocks))
+        for h, (first, d) in enumerate(block_results):
+            if first is not None:
+                return (h << low) | first, d
+            best = min(best, d)
+    finally:
+        # an early hit leaves blocks queued: cancel them, join the workers
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return None, best
 
 
@@ -280,18 +282,23 @@ def agreement(f, g, mode: str = "exact", trials: int = 100_000,
 def _mc_disagreements(n: int, evf, evg, trials: int, seed: int,
                       chunk_words: int = 256) -> int:
     """Lanes where two (n, w) -> (w,) word evaluators differ, over `trials`
-    uniform inputs."""
+    uniform inputs.
+
+    Inputs are drawn chunk by chunk (at most `chunk_words` words per
+    variable) as they are evaluated, so memory does not grow with `trials`.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng_for(seed, "mc-agreement")
-    words, n_words = random_input_words(n, trials, rng)
-    # padding lanes in the last word would evaluate both sides at 0..0
-    lane_mask = np.full(n_words, ~np.uint64(0), dtype=np.uint64)
-    tail = trials - (n_words - 1) * 64
-    if tail < 64:
-        lane_mask[-1] = np.uint64((1 << tail) - 1)
+    chunk_lanes = chunk_words * 64
     bad = 0
-    for start in range(0, n_words, chunk_words):
-        chunk = words[:, start:start + chunk_words]
-        diff = (evf(chunk) ^ evg(chunk)) & lane_mask[start:start + chunk_words]
+    for start in range(0, trials, chunk_lanes):
+        lanes = min(chunk_lanes, trials - start)
+        words, _ = random_input_words(n, lanes, rng)
+        diff = evf(words) ^ evg(words)
+        # padding lanes in the last word would evaluate both sides at 0..0
+        if lanes % 64:
+            diff[-1] &= np.uint64((1 << (lanes % 64)) - 1)
         bad += int(np.bitwise_count(diff).sum())
     return bad
 
@@ -300,7 +307,7 @@ def _make_word_evaluator(f):
     """(n, w) uint64 input words -> (w,) uint64 output words."""
     tab, circ = _as_table_or_circuit(f)
     if circ is not None:
-        pe = PackedEvaluator(circ)
+        pe = PackedEvaluator(circ.cone())
         return lambda words: pe.outputs(words)[0]
     n = tab.n
     bits = np.unpackbits(

@@ -173,6 +173,59 @@ def test_exhaustive_table_matches_oracle(rng):
         assert exhaustive_table(c) == oracle_table_dag(c)
 
 
+def _random_dag_with_dead_gates(rng: np.random.Generator, n: int) -> CircuitDag:
+    """Random DAG with CONST0/CONST1 gates, fan-in-1 gates, several outputs in
+    random order (an input and a repeat among them), and a dead NOT and XOR
+    gate after everything the outputs reach."""
+    kinds = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
+             GateKind.CONST0, GateKind.CONST1)
+    gates = [Gate(GateKind.INPUT)] * n
+    for _ in range(int(rng.integers(3, 20))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind in (GateKind.CONST0, GateKind.CONST1):
+            args = ()
+        else:
+            fanin = 1 if kind is GateKind.NOT else int(rng.integers(1, 4))
+            args = tuple(int(a) for a in rng.integers(0, len(gates), size=fanin))
+        gates.append(Gate(kind, args))
+    outputs = [int(o) for o in rng.integers(0, len(gates), size=3)] + [int(rng.integers(n))]
+    outputs.append(outputs[0])
+    rng.shuffle(outputs)
+    gates.append(Gate(GateKind.NOT, (len(gates) - 1,)))
+    gates.append(Gate(GateKind.XOR, (0, len(gates) - 1)))
+    return CircuitDag(n, tuple(gates), tuple(outputs))
+
+
+def test_cone_agrees_with_whole_dag(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        c = _random_dag_with_dead_gates(rng, n)
+        cone = c.cone()
+        assert cone.n_inputs == n
+        assert len(cone.gates) <= len(c.gates) - 2  # the trailing NOT and XOR are dead
+        assert cone.cone() == cone
+        words = rng.integers(0, 1 << 63, size=(n, 2), dtype=np.uint64) << np.uint64(1)
+        words |= rng.integers(0, 2, size=(n, 2), dtype=np.uint64)
+        got = PackedEvaluator(cone).outputs(words)
+        assert np.array_equal(got, PackedEvaluator(c).outputs(words))
+        for lane in range(128):
+            b, off = divmod(lane, 64)
+            x = [int(words[i, b]) >> off & 1 for i in range(n)]
+            assert [int(got[k, b]) >> off & 1 for k in range(len(c.outputs))] == oracle_eval_dag(c, x)
+        for k in range(len(c.outputs)):
+            assert exhaustive_table(cone, k) == exhaustive_table(c, k)
+
+
+def test_cone_drops_exactly_the_dead_gates():
+    c = parse_netlist("input x0\ninput x1\ninput x2\n"
+                      "d = NOT x2\na = AND x0 x1\nk = CONST1\no = OR a k\ne = XOR d o\n"
+                      "output o\noutput x2\noutput o\n")
+    assert serialize_netlist(c.cone()) == (
+        "input x0\ninput x1\ninput x2\n"
+        "g0 = AND x0 x1\ng1 = CONST1\ng2 = OR g0 g1\n"
+        "output g2\noutput x2\noutput g2\n")
+
+
 # ---------------------------------------------------------------------- unfold
 
 def test_unfold_tree_is_isomorphic():

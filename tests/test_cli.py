@@ -175,3 +175,41 @@ def test_format_flag_removed(workdir, capsys):
     (workdir / "f.sexpr").write_text("(or x0 x1)\n")
     assert run(["compile", "f.sexpr", "--format", "csv", "--out", "o"]) == EXIT_USAGE
     assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["compile", "f.sexpr", "--trials", "0"], None),
+    (["compile", "f.sexpr", "--trials", "-3"], None),
+    (["compile", "f.sexpr", "--trials", "ten"], None),
+    (["verify", "z.netlist", "--eps", "0.25", "--mode", "mc", "--trials", "0"], None),
+    (["verify", "z.netlist", "--eps", "0.25", "--trials", "0"], None),
+    (["check", "lemma", "--trials", "0"], None),
+    (["compile", "f.sexpr"], {"trials": 0}),
+    (["compile", "f.sexpr"], {"trials": 2.5}),
+    (["check", "lemma"], {"trials": "100"}),
+], ids=["compile-0", "compile-negative", "compile-text", "verify-mc-0", "verify-exact-0",
+        "check-lemma-0", "config-0", "config-fraction", "config-string"])
+def test_trials_must_be_positive_integer(workdir, capsys, argv, config):
+    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
+    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", "cfg.json"] + argv
+    assert run(argv + ["--out", "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: trials must be")
+    assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("M=0", "M"), ("M=-4", "M"), ("A=3,M=64,stop=-1", "s_top"), ("A=0", "A"),
+    ("Mtop=0", "M_top"), ("logM=-1", "logM"), ("logMtop=inf", "logM_top"),
+    ("A=3,M=64,stop=nan", "s_top"),
+])
+def test_bad_override_value_exits_2(workdir, capsys, override, key):
+    rc = run(["synth", "--n", "31", "--d", "3", "--eps", "0.25",
+              "--override", override, "--out", "x"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: override {key} must be")
+    assert not (workdir / "x").exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apxmaj import synthesis as S
@@ -34,6 +34,25 @@ def test_plan_rejects_bad_arguments():
         S.plan(101, 3, 0.75)
     with pytest.raises(ValueError):
         S.plan(101, 3, 0.25, {"bogus": 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4]),
+       st.dictionaries(st.sampled_from(["A", "M", "logM", "M_top", "logM_top", "s_top"]),
+                       st.one_of(st.integers(), st.floats()), max_size=6))
+@example(3, {"A": 3, "M": 64, "s_top": -1.0})
+@example(3, {"M": 0})
+@example(3, {"A": 1075})        # 2^-A underflows to 0
+@example(2, {"A": 2 * 10**7})   # level-1 fan-in above the width cap
+@example(3, {"logM": 10**400})  # beyond the float range
+def test_plan_override_values_give_plan_or_value_error(d, overrides):
+    try:
+        p = S.plan(101, d, 0.25, overrides)
+    except ValueError:
+        return
+    for spec in p.levels:
+        assert spec.width is None or 1 <= spec.width <= p.width_cap
+        assert spec.fan_in is None or 1 <= spec.fan_in <= p.width_cap
 
 
 def test_gamma_recurrence_examples():

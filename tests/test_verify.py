@@ -1,11 +1,14 @@
 import json
 import math
+import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from apxmaj import gf2poly as g
+from apxmaj import synthesis as S
 from apxmaj import verify as V
 from apxmaj.circuits import formula_to_dag, parse_formula, parse_netlist
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
@@ -112,6 +115,16 @@ def test_min_approx_degree_threads_agree():
     assert (a.degree, a.distance, a.witness) == (b.degree, b.distance, b.witness)
 
 
+def test_scan_level_pool_shut_down_on_early_hit():
+    # x0*x1*x2 is within 1 of itself at eps = 1/32, so the degree-3 level (26
+    # monomials, 64 blocks of 2^20 candidates) hits in block 0
+    f = V.TruthTable.from_poly(g.parse_poly("x0*x1*x2", 5))
+    before = threading.active_count()
+    cert = V.min_approx_degree(f, 1 / 32, threads=4)
+    assert cert.degree == 3 and cert.scanned[-1] == 1 << 26
+    assert threading.active_count() == before
+
+
 def test_span_tables_is_reed_muller():
     # span(n=3, D=1): the 16 affine functions
     tabs = V.span_tables(3, 1)
@@ -181,6 +194,28 @@ def test_certify_mc_against_exact(rng):
     mc = V.certify_approx_majority(dag, 0.3, "mc", trials=60_000, seed=5)
     assert abs(mc.disagreement - exact.disagreement) < 0.01
     assert mc.ci_lo <= exact.disagreement <= mc.ci_hi
+
+
+def test_mc_memory_flat_in_trials():
+    # inputs are drawn chunk by chunk, so 10x the trials must not mean 10x
+    # the memory (whole-draw allocation: 5.5 MB at 2e5, 48 MB at 2e6)
+    dag = S.synth(S.plan(101, 3, 0.25, {"A": 3, "M": 256, "M_top": 256}), 1).dag
+    peaks = []
+    for trials in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            V.certify_approx_majority(dag, 0.5, "mc", trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_mc_rejects_nonpositive_trials():
+    dag = formula_to_dag(parse_formula("(or x0 x1)"), 3)
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            V.certify_approx_majority(dag, 0.25, "mc", trials=trials, seed=1)
 
 
 # ------------------------------------------------------------------- triangle
