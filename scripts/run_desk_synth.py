@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Desk-scale approximate-majority run: plan, synthesize, certify, report.
+"""Desk-scale approximate-majority run: `apxmaj synth`, then
+`apxmaj verify --mode mc` on the circuit it wrote.
 
 Reproduces the reference configuration (n=101, d=3, A=3, 2^14-wide levels)
-end to end and writes plan/netlist/certification/band reports under --out.
+end to end.  Under --out: plan.json, circuit.netlist and bands.csv from synth,
+certification.json from verify.  Exits with verify's code (0 pass, 1 fail),
+with synth's when synth fails, or 3 when the plan is not synthesizable
+(synth then writes plan.json only).
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from apxmaj import synthesis as synth_mod
-from apxmaj import verify as verify_mod
-from apxmaj.circuits import serialize_netlist
-from apxmaj.rng import rng_for
+from apxmaj import cli
 
 
 def main() -> int:
@@ -29,47 +31,16 @@ def main() -> int:
     ap.add_argument("--out", default="desk_run")
     args = ap.parse_args()
 
-    plan = synth_mod.plan(args.n, args.d, args.eps,
-                          {"A": args.a, "M": args.width, "M_top": args.width})
-    print(f"plan [{plan.mode}]: A={plan.a} s_top={plan.s_top:.4f}")
-    for spec in plan.levels:
-        print("  " + spec.describe())
-
-    result = synth_mod.synth(plan, args.seed)
-    print(f"circuit: depth={result.dag.depth} gates={result.dag.size} "
-          f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
-
-    cert = verify_mod.certify_approx_majority(
-        result.dag, args.eps, "mc", trials=args.trials, seed=args.seed)
-    print(f"certification: disagreement={cert.disagreement:.4f} "
-          f"CI=[{cert.ci_lo:.4f}, {cert.ci_hi:.4f}] trials={cert.trials} "
-          f"-> {'PASS' if cert.passed else 'FAIL'}")
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "circuit.netlist").write_text(serialize_netlist(result.dag))
-    band_rows = []
-    for w in (int(0.4 * args.n), args.n // 2, int(0.6 * args.n) + 1):
-        rng = rng_for(args.seed, "witness", w)
-        mask = 0
-        for i in rng.permutation(args.n)[:w]:
-            mask |= 1 << int(i)
-        for obs in synth_mod.empirical_level_check(result, mask):
-            band_rows.append({
-                "weight": w, "level": obs.index, "kind": obs.kind.value,
-                "ones_fraction": obs.ones_fraction, "predicted": obs.predicted,
-                "sigma": obs.sigma, "within_3_sigma": obs.within_3_sigma,
-                "band_membership": obs.band_membership,
-            })
-            print(f"  w={w} level {obs.index}: {obs.ones_fraction:.5f} "
-                  f"(predicted {obs.predicted:.5f} +- {obs.sigma:.5f})")
-    verify_mod.emit_report(band_rows, out / "bands.csv", "csv", meta={"seed": args.seed})
-    verify_mod.emit_report({
-        "n": args.n, "d": args.d, "eps": args.eps, "seed": args.seed,
-        "disagreement": cert.disagreement, "ci_lo": cert.ci_lo, "ci_hi": cert.ci_hi,
-        "trials": cert.trials, "passed": cert.passed,
-    }, out / "certification.json", "json", meta={"seed": args.seed})
-    return 0 if cert.passed else 1
+    run = ["--seed", str(args.seed), "--out", str(out)]
+    code = cli.main(["synth", "--n", str(args.n), "--d", str(args.d), "--eps", str(args.eps),
+                     "--override", f"A={args.a},M={args.width},Mtop={args.width}", *run])
+    if code != cli.EXIT_OK:
+        return code
+    if not json.loads((out / "plan.json").read_text())["synthesizable"]:
+        return cli.EXIT_RESOURCE
+    return cli.main(["verify", str(out / "circuit.netlist"), "--eps", str(args.eps),
+                     "--mode", "mc", "--trials", str(args.trials), *run])
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@ from .circuits import (
     CircuitDag,
     FormulaNode,
     GateKind,
-    InputBlock,
-    eval_block,
     eval_circuit,
     majority,
     parse_formula,
@@ -33,6 +31,7 @@ from .synthesis import (
     bias_recurrence,
     check_technical_lemma,
     empirical_level_check,
+    level_checks,
     plan,
     resample_until_valid,
     synth,

@@ -8,10 +8,11 @@ Two representations are used throughout the package:
 * :class:`FormulaNode` -- a tree.  Size counts leaves (variable/constant
   occurrences), matching the usual formula-size convention.
 
-Evaluation comes in three speeds: scalar (`eval_circuit`), word-parallel over
-a packed :class:`InputBlock` (`eval_block`, up to ``WORD_BITS`` assignments at
-once), and :class:`PackedEvaluator`, which batches gates level-by-level into
-numpy index matrices for Monte Carlo workloads on wide circuits.
+Evaluation has a scalar reference, `eval_circuit`, and one word evaluator,
+:class:`PackedEvaluator`, which batches gates level by level into numpy index
+matrices and evaluates 64 assignments per uint64 word.  `pack_lanes` packs
+assignments into its input words; `exhaustive_table` runs it on the
+enumeration words of every assignment.
 
 `CircuitDag.cone` drops the gates that reach no output (dead-gate
 elimination, the "sweep" of logic synthesis).  Certification and exact
@@ -25,15 +26,18 @@ netlist writer emits the whole DAG.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ParseError, ResourceLimitError
+from .gf2poly import valid_words, variable_words
 
 WORD_BITS = 64
+# words per PackedEvaluator call in chunked evaluation (16,384 lanes)
+CHUNK_WORDS = 256
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -425,119 +429,40 @@ def eval_formula(f: FormulaNode, x: Sequence[int]) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class InputBlock:
-    """Up to WORD_BITS assignments, one word per variable (bit j = lane j)."""
-
-    n_vars: int
-    width: int
-    words: tuple[int, ...]
-    ones: tuple[int, ...] = field(default=())   # |y|_1 per assignment
-    zeros: tuple[int, ...] = field(default=())  # |y|_0 per assignment
-
-    def __post_init__(self):
-        if not 0 < self.width <= WORD_BITS:
-            raise ValueError(f"block width must be in 1..{WORD_BITS}")
-        if len(self.words) != self.n_vars:
-            raise ValueError("one word per variable required")
-
-    @classmethod
-    def pack(cls, assignments: Sequence[Sequence[int]]) -> "InputBlock":
-        width = len(assignments)
-        if width == 0:
-            raise ValueError("empty block")
-        n = len(assignments[0])
-        words = [0] * n
-        ones = []
-        for lane, a in enumerate(assignments):
-            if len(a) != n:
-                raise DimensionError("ragged assignment batch")
-            w = 0
-            for i, b in enumerate(a):
-                if b & 1:
-                    words[i] |= 1 << lane
-                    w += 1
-            ones.append(w)
-        return cls(n, width, tuple(words), tuple(ones), tuple(n - w for w in ones))
-
-    def unpack(self) -> list[list[int]]:
-        return [[(self.words[i] >> lane) & 1 for i in range(self.n_vars)]
-                for lane in range(self.width)]
-
-
-def eval_block(c: CircuitDag, block: InputBlock) -> tuple[int, ...]:
-    """Word-parallel evaluation; bit j of each output equals eval on lane j."""
-    if block.n_vars != c.n_inputs:
-        raise DimensionError(f"expected {c.n_inputs} variables, got {block.n_vars}")
-    mask = (1 << block.width) - 1
-    vals = [0] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        k = g.kind
-        if k is GateKind.INPUT:
-            vals[i] = block.words[i] & mask
-        elif k is GateKind.CONST0:
-            vals[i] = 0
-        elif k is GateKind.CONST1:
-            vals[i] = mask
-        elif k is GateKind.NOT:
-            vals[i] = ~vals[g.args[0]] & mask
-        elif k is GateKind.AND:
-            v = mask
-            for a in g.args:
-                v &= vals[a]
-            vals[i] = v
-        elif k is GateKind.OR:
-            v = 0
-            for a in g.args:
-                v |= vals[a]
-            vals[i] = v
-        else:
-            v = 0
-            for a in g.args:
-                v ^= vals[a]
-            vals[i] = v
-    return tuple(vals[o] for o in c.outputs)
+def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
+    """(n, ceil(len(masks)/64)) uint64 input words, one assignment per lane:
+    bit j of row i is bit i of masks[j]; lanes past the last mask are 0."""
+    n_words = (len(masks) + WORD_BITS - 1) // WORD_BITS
+    n_bytes = (n + 7) // 8
+    for j, m in enumerate(masks):
+        if m < 0 or m >> n:
+            raise DimensionError(f"lane {j}: mask {m:#x} does not fit {n} variables")
+    raw = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), n_bytes), axis=1, count=n, bitorder="little")
+    out = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    out[:, : (len(masks) + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64)
 
 
 def exhaustive_table(c: CircuitDag, output: int = 0, max_n: int = 20) -> int:
     """Truth table of one output as an integer (bit j = value at assignment j,
-    where bit i of j is the value of x_i).  Word-parallel over 64-lane blocks."""
+    where bit i of j is the value of x_i).  Runs :class:`PackedEvaluator` on
+    the enumeration words of `variable_words`, CHUNK_WORDS words at a time."""
     n = c.n_inputs
     if n > max_n:
         raise ResourceLimitError(f"exhaustive evaluation capped at n <= {max_n}, got {n}")
-    total = 1 << n
-    table = 0
-    lanes = min(WORD_BITS, total)
-    if n <= 6:
-        base_words = [_var_pattern(i, total) for i in range(n)]
-        blk = InputBlock(n, total, tuple(base_words))
-        return eval_block(c, blk)[_output_index(c, output)]
-    low_words = [_var_pattern(i, WORD_BITS) for i in range(6)]
-    full = (1 << WORD_BITS) - 1
-    idx = _output_index(c, output)
-    for b in range(total // WORD_BITS):
-        words = list(low_words)
-        for i in range(6, n):
-            words.append(full if (b >> (i - 6)) & 1 else 0)
-        blk = InputBlock(n, lanes, tuple(words))
-        table |= eval_block(c, blk)[idx] << (b * WORD_BITS)
-    return table
+    row = c.outputs[_output_index(c, output)]
+    evaluator = PackedEvaluator(c)
+    inputs = variable_words(n)
+    table = np.concatenate([evaluator.run(inputs[:, s : s + CHUNK_WORDS])[row]
+                            for s in range(0, inputs.shape[1], CHUNK_WORDS)])
+    return int.from_bytes((table & valid_words(n)).astype("<u8").tobytes(), "little")
 
 
 def _output_index(c: CircuitDag, output: int) -> int:
     if not 0 <= output < len(c.outputs):
         raise IndexError(f"circuit has {len(c.outputs)} outputs")
     return output
-
-
-def _var_pattern(i: int, width: int) -> int:
-    """Word whose bit j equals bit i of j."""
-    period = 1 << (i + 1)
-    ones = ((1 << (1 << i)) - 1) << (1 << i)
-    w = 0
-    for start in range(0, width, period):
-        w |= ones << start
-    return w & ((1 << width) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +522,10 @@ class PackedEvaluator:
     """Levelized numpy evaluator: gates grouped by (depth, kind) and padded to
     a common fan-in so each level is a gather + reduction over uint64 lanes.
 
-    Produces bit-for-bit the same outputs as `eval_block`; exists because the
-    synthesized approximate-majority circuits have ~2^15 gates and Monte Carlo
-    certification runs 10^5 assignments.
+    Bit j of every word is `eval_circuit` on lane j's assignment.  The
+    package's only word evaluator: exact truth tables, Monte Carlo
+    certification (10^5 assignments) and the per-level statistics of
+    synthesized circuits (~2^15 gates) all run on it.
     """
 
     _IDENT = {GateKind.AND: 1, GateKind.OR: 0, GateKind.XOR: 0, GateKind.NOT: 0}

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .circuits import FormulaNode, GateKind
+from .circuits import FormulaNode, GateKind, pack_lanes
 from .errors import ResourceLimitError
 from .gf2poly import (
     SparsePolyF2,
@@ -39,6 +39,7 @@ from .gf2poly import (
     elementary_symmetric_combine,
     from_truth_table,
     majority_anf_coefficients,
+    majority_words,
     mobius_transform,
     mul,
     one,
@@ -412,23 +413,7 @@ class _WordAlgebra:
         return acc
 
     def majority(self, copies) -> np.ndarray:
-        planes: list[np.ndarray] = []  # bitsliced per-bit counters
-        for c, tab in enumerate(copies, 1):
-            carry = tab
-            for j, p in enumerate(planes):
-                planes[j], carry = p ^ carry, p & carry
-            if len(planes) < c.bit_length():
-                planes.append(carry)
-        thr = (len(copies) + 1) // 2
-        ge = np.zeros(self.shape, dtype=np.uint64)
-        eq = self.full
-        for j in range(len(planes) - 1, -1, -1):
-            if (thr >> j) & 1:
-                eq = eq & planes[j]
-            else:
-                ge |= eq & planes[j]
-                eq = eq & ~planes[j]
-        return ge | eq
+        return majority_words(copies, self.full)
 
 
 class _PolyAlgebra:
@@ -501,8 +486,7 @@ def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
 
 def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial."""
-    mask = _as_mask(recipe.n, x)
-    inputs = np.array([mask >> i & 1 for i in range(recipe.n)], dtype=np.uint64)[:, None]
+    inputs = pack_lanes(recipe.n, [_as_mask(recipe.n, x)])
     alg = _WordAlgebra(inputs, np.ones(1, dtype=np.uint64), 1)
     return int(_eval_node(recipe.root, alg, seed, ())[0, 0])
 

@@ -147,6 +147,35 @@ def variable_words(n: int) -> np.ndarray:
     return out & valid_words(n)
 
 
+def majority_words(rows: Sequence[np.ndarray], full) -> np.ndarray:
+    """Bitwise majority of packed rows: a bit is 1 iff at least
+    len(rows)//2 + 1 of the rows have it set (for odd counts (t+1)/2; for
+    any count, strictly more than half).  `full` masks the valid bits.
+
+    Bitsliced: the rows are added into binary counter planes, which are then
+    compared with the threshold from the top plane down.
+    """
+    if len(rows) == 0:
+        return np.zeros_like(full)
+    planes: list[np.ndarray] = []
+    for c, row in enumerate(rows, 1):
+        carry = row
+        for j, p in enumerate(planes):
+            planes[j], carry = p ^ carry, p & carry
+        if len(planes) < c.bit_length():
+            planes.append(carry)
+    thr = len(rows) // 2 + 1
+    ge = np.zeros_like(full)
+    eq = full
+    for j in range(len(planes) - 1, -1, -1):
+        if (thr >> j) & 1:
+            eq = eq & planes[j]
+        else:
+            ge = ge | (eq & planes[j])
+            eq = eq & ~planes[j]
+    return ge | eq
+
+
 def from_truth_table(bits: int | Sequence[int], n: int) -> SparsePolyF2:
     """Unique multilinear ANF of a truth table (Moebius transform over F2).
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitDag, Gate, GateKind, PackedEvaluator
+from .circuits import CircuitDag, Gate, GateKind, PackedEvaluator, pack_lanes
 from .errors import ApxMajError, ResourceLimitError
 from .gf2poly import _as_mask
 from .rng import derive_seed, rng_for
@@ -177,10 +177,13 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
 
     Recognized override keys: A, M, logM, M_top, logM_top, s_top.  Each
     value must be finite, with A, M, M_top >= 1, logM, logM_top >= 0 and
-    s_top > 0; any other value raises a ValueError naming its key.
+    s_top > 0; any other value raises a ValueError naming its key.  n must
+    fit a float.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if not _finite(n):
+        raise ValueError(f"n does not fit a float (a {n.bit_length()}-bit integer)")
     if d < 2:
         raise ValueError("need depth d >= 2")
     if not 0 < eps <= 0.5:
@@ -268,7 +271,7 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
     return SynthPlan(
         n=n, d=d, eps=eps, mode="desk-scale" if desk else "asymptotic",
         a=a, log_m=log_m, log_m_top=log_m_top, s_top=s_top,
-        gamma=gamma, delta=1.0 / n**3,
+        gamma=gamma, delta=1 / n**3,  # int division: no float overflow of n^3
         levels=tuple(levels),
         side_conditions=side_conditions, side_values=side_values,
         width_cap=width_cap,
@@ -286,6 +289,13 @@ class SynthResult:
         """Raw packed words of every gate, sliced per level."""
         v = PackedEvaluator(self.dag).run(input_words)
         return [v[a:b] for a, b in self.level_ranges]
+
+    def level_ones(self, masks: Sequence[int]) -> np.ndarray:
+        """(levels, lanes) int64: how many gates of each level are 1 when lane
+        j evaluates the assignment whose bit i is bit i of masks[j]."""
+        counts = [np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
+                  for rows in self.level_values(pack_lanes(self.plan.n, masks))]
+        return np.array([c[: len(masks)] for c in counts], dtype=np.int64)
 
 
 def synth(p: SynthPlan, seed: int) -> SynthResult:
@@ -378,23 +388,26 @@ class LevelObservation:
     band_membership: str | None  # I0/I1 (AND levels), J0/J1 (OR levels), None
 
 
-def empirical_level_check(result: SynthResult, x: Sequence[int] | int) -> list[LevelObservation]:
-    """Evaluate one assignment and report per-level ones-fractions against the
-    mean-field prediction, plus membership in the one-sided count sets around
-    M*e^-A: I0/I1 bound the ones of an AND level from below/above, J1/J0 the
-    zeros of an OR level."""
+def level_checks(result: SynthResult,
+                 xs: Sequence[Sequence[int] | int]) -> list[list[LevelObservation]]:
+    """Evaluate every assignment of xs in one pass and report, per assignment,
+    the per-level ones-fractions against the mean-field prediction, plus
+    membership in the one-sided count sets around M*e^-A: I0/I1 bound the ones
+    of an AND level from below/above, J1/J0 the zeros of an OR level."""
     p = result.plan
-    mask = _as_mask(p.n, x)
-    words = np.zeros((p.n, 1), dtype=np.uint64)
-    for i in range(p.n):
-        if mask >> i & 1:
-            words[i, 0] = 1
-    w = int(mask.bit_count())
-    preds = bias_recurrence(p, w)
-    values = result.level_values(words)
+    masks = [_as_mask(p.n, x) for x in xs]
+    ones = result.level_ones(masks)
+    return [_observations(p, m.bit_count(), ones[:, j]) for j, m in enumerate(masks)]
+
+
+def empirical_level_check(result: SynthResult, x: Sequence[int] | int) -> list[LevelObservation]:
+    """`level_checks` of the one assignment x."""
+    return level_checks(result, [x])[0]
+
+
+def _observations(p: SynthPlan, w: int, counts: np.ndarray) -> list[LevelObservation]:
     out = []
-    for spec, pred, rows in zip(p.levels, preds, values):
-        ones = int(np.bitwise_count(rows & np.uint64(1)).sum())
+    for spec, pred, ones in zip(p.levels, bias_recurrence(p, w), counts.tolist()):
         frac = ones / spec.width
         membership = None
         if pred.band_lo is not None:
@@ -432,43 +445,16 @@ def resample_until_valid(p: SynthPlan, witnesses: Sequence[Sequence[int] | int],
     histogram: dict[int, int] = {}
     for attempt in range(max_tries):
         result = synth(p, derive_seed(seed, "try", attempt))
-        words = _pack_witnesses(p.n, masks)
-        per_level = result.level_values(words)
-        ok = True
-        for li, (spec, rows) in enumerate(zip(p.levels, per_level)):
-            lane_ones = _lane_popcounts(rows, len(masks))
-            for j, w in enumerate(weights):
-                pred = preds[w][li]
-                frac = lane_ones[j] / spec.width
-                if abs(frac - pred.ones_fraction) > slack_sigmas * pred.sigma:
-                    ok = False
-                    histogram[spec.index] = histogram.get(spec.index, 0) + 1
-                    break
-            if not ok:
+        ones = result.level_ones(masks).tolist()
+        for li, spec in enumerate(p.levels):
+            level_preds = [preds[w][li] for w in weights]
+            if any(abs(k / spec.width - pred.ones_fraction) > slack_sigmas * pred.sigma
+                   for k, pred in zip(ones[li], level_preds)):
+                histogram[spec.index] = histogram.get(spec.index, 0) + 1
                 break
-        if ok:
+        else:
             return result, attempt + 1, histogram
     raise ResampleExhausted(max_tries, histogram)
-
-
-def _pack_witnesses(n: int, masks: Sequence[int]) -> np.ndarray:
-    n_words = (len(masks) + 63) // 64
-    words = np.zeros((n, n_words), dtype=np.uint64)
-    for lane, m in enumerate(masks):
-        b, off = divmod(lane, 64)
-        for i in range(n):
-            if m >> i & 1:
-                words[i, b] |= np.uint64(1 << off)
-    return words
-
-
-def _lane_popcounts(rows: np.ndarray, n_lanes: int) -> np.ndarray:
-    """Per-lane count of set bits across the gates of one level."""
-    counts = np.zeros(n_lanes, dtype=np.int64)
-    for lane in range(n_lanes):
-        b, off = divmod(lane, 64)
-        counts[lane] = int(((rows[:, b] >> np.uint64(off)) & np.uint64(1)).sum())
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import CircuitDag, PackedEvaluator, exhaustive_table, random_input_words
+from .circuits import CHUNK_WORDS, CircuitDag, PackedEvaluator, exhaustive_table, random_input_words
 from .errors import DimensionError, ParseError, ResourceLimitError
-from .gf2poly import SparsePolyF2, from_truth_table, to_truth_table
+from .gf2poly import SparsePolyF2, from_truth_table, majority_words, to_truth_table
 from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
@@ -127,10 +127,15 @@ def span_tables(n: int, degree: int) -> np.ndarray:
         raise ResourceLimitError(
             f"{len(basis)} monomials of degree <= {degree} exceeds cap "
             f"{DEGREE_ORACLE_MAX_MONOMIALS}")
+    return _span(n, basis)
+
+
+def _span(n: int, masks: Sequence[int]) -> np.ndarray:
+    """uint32 tables of the XOR of every subset of the monomials `masks`,
+    entry i holding the subset whose bit j selects masks[j] (by doubling)."""
     tables = np.zeros(1, dtype=np.uint32)
-    for mask in basis:
-        t = np.uint32(monomial_table(n, mask))
-        tables = np.concatenate([tables, tables ^ t])
+    for mask in masks:
+        tables = np.concatenate([tables, tables ^ np.uint32(monomial_table(n, mask))])
     return tables
 
 
@@ -179,10 +184,7 @@ def _scan_level(n: int, basis: list[int], f_bits: int, allowed: int,
     """
     m = len(basis)
     low = min(m, 20)
-    tables = np.zeros(1, dtype=np.uint32)
-    for mask in basis[:low]:
-        t = np.uint32(monomial_table(n, mask))
-        tables = np.concatenate([tables, tables ^ t])
+    tables = _span(n, basis[:low])
     high_masks = [np.uint32(monomial_table(n, mask)) for mask in basis[low:]]
     n_blocks = 1 << (m - low)
     f_word = np.uint32(f_bits & 0xFFFFFFFF)
@@ -280,7 +282,7 @@ def agreement(f, g, mode: str = "exact", trials: int = 100_000,
 
 
 def _mc_disagreements(n: int, evf, evg, trials: int, seed: int,
-                      chunk_words: int = 256) -> int:
+                      chunk_words: int = CHUNK_WORDS) -> int:
     """Lanes where two (n, w) -> (w,) word evaluators differ, over `trials`
     uniform inputs.
 
@@ -348,18 +350,9 @@ def certify_approx_majority(c, eps: float, mode: str = "exact",
         dis = 1.0 - rep.estimate
         return CertificationReport(n, eps, mode, dis, dis, dis, rep.trials, None, dis <= eps)
     bad = _mc_disagreements(n, _make_word_evaluator(c),
-                            lambda words: _majority_words(n, words), trials, seed)
+                            lambda words: majority_words(words, ~np.uint64(0)), trials, seed)
     lo, hi = wilson_interval(bad, trials)
     return CertificationReport(n, eps, mode, bad / trials, lo, hi, trials, seed, hi <= eps)
-
-
-def _majority_words(n: int, words: np.ndarray) -> np.ndarray:
-    """Majority as a word evaluator (popcount over variable words per lane)."""
-    counts = np.zeros(words.shape[1] * 64, dtype=np.uint16)
-    for i in range(n):
-        counts += np.unpackbits(words[i].view(np.uint8), bitorder="little")
-    maj = (counts.astype(np.uint32) * 2 > n).astype(np.uint8)
-    return np.packbits(maj, bitorder="little").view(np.uint64)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ from apxmaj.circuits import (
     FormulaNode,
     Gate,
     GateKind,
-    InputBlock,
     PackedEvaluator,
-    eval_block,
     eval_circuit,
     exhaustive_table,
     formula_to_dag,
+    pack_lanes,
     majority,
     parse_formula,
     parse_netlist,
@@ -21,7 +20,7 @@ from apxmaj.circuits import (
     serialize_netlist,
     unfold_to_formula,
 )
-from apxmaj.errors import ParseError
+from apxmaj.errors import DimensionError, ParseError
 from apxmaj.verify import majority_truth_table
 
 from conftest import oracle_eval_dag, oracle_table_dag, oracle_table_formula, random_dag
@@ -104,36 +103,53 @@ def test_eval_examples():
     assert eval_circuit(or2, [0, 0]) == (0,)
 
 
-def test_input_block_roundtrip(rng):
+def _mask(bits) -> int:
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def _lane(words: np.ndarray, lane: int) -> list[int]:
+    """Bit `lane` of every row of (rows, W) uint64 words."""
+    b, off = divmod(lane, 64)
+    return [int(w) >> off & 1 for w in words[:, b]]
+
+
+def test_pack_lanes_roundtrip(rng):
     assignments = [[int(b) for b in rng.integers(0, 2, 7)] for _ in range(19)]
-    blk = InputBlock.pack(assignments)
-    assert blk.unpack() == assignments
-    assert list(blk.ones) == [sum(a) for a in assignments]
-    assert list(blk.zeros) == [7 - sum(a) for a in assignments]
+    words = pack_lanes(7, [_mask(a) for a in assignments])
+    assert words.shape == (7, 1) and words.dtype == np.uint64
+    assert [_lane(words, lane) for lane in range(19)] == assignments
+    ones = [sum(_lane(words, lane)) for lane in range(19)]
+    assert ones == [sum(a) for a in assignments]
+    assert [7 - w for w in ones] == [7 - sum(a) for a in assignments]
+    assert not (words >> np.uint64(19)).any()  # lanes past the last mask are 0
+    wide = [int(m) for m in rng.integers(0, 1 << 62, size=130)]
+    words = pack_lanes(62, wide)
+    assert words.shape == (62, 3)
+    assert [_mask(_lane(words, lane)) for lane in range(130)] == wide
+    with pytest.raises(DimensionError):
+        pack_lanes(3, [1 << 3])
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_eval_block_matches_scalar_eval(seed):
+def test_packed_evaluator_matches_scalar_eval(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 8))
     c = random_dag(rng, n, max_gates=10)
     assignments = [[int(b) for b in rng.integers(0, 2, n)] for _ in range(17)]
-    blk = InputBlock.pack(assignments)
-    words = eval_block(c, blk)
+    words = PackedEvaluator(c).outputs(pack_lanes(n, [_mask(a) for a in assignments]))
     for lane, x in enumerate(assignments):
-        assert ((words[0] >> lane) & 1,) == eval_circuit(c, x)
+        assert tuple(_lane(words, lane)) == eval_circuit(c, x)
         assert eval_circuit(c, x) == tuple(oracle_eval_dag(c, x))
 
 
-def test_eval_block_identical_lanes(rng):
+def test_packed_evaluator_identical_lanes(rng):
     c = random_dag(rng, 5)
-    blk = InputBlock.pack([[1, 0, 1, 1, 0]] * 9)
-    out = eval_block(c, blk)[0]
-    assert out in (0, (1 << 9) - 1)
+    out = int(PackedEvaluator(c).outputs(pack_lanes(5, [_mask([1, 0, 1, 1, 0])] * 9))[0, 0])
+    assert out & ((1 << 9) - 1) in (0, (1 << 9) - 1)
 
 
-def test_eval_block_monotone_chain(rng):
+def test_packed_evaluator_monotone_chain(rng):
     # lanes forming a coordinatewise chain keep a monotone circuit's output sorted
     gates = [Gate(GateKind.INPUT)] * 6
     gates.append(Gate(GateKind.AND, (0, 1, 2)))
@@ -146,30 +162,38 @@ def test_eval_block_monotone_chain(rng):
     for i in np.random.default_rng(3).permutation(6):
         x[i] = 1
         chain.append(list(x))
-    out = eval_block(c, InputBlock.pack(chain))[0]
+    out = int(PackedEvaluator(c).outputs(pack_lanes(6, [_mask(a) for a in chain]))[0, 0])
     lanes = [(out >> i) & 1 for i in range(len(chain))]
     assert lanes == sorted(lanes)
     for lane, xs in enumerate(chain):
         assert (lanes[lane],) == eval_circuit(c, xs)
 
 
-def test_packed_evaluator_matches_eval_block(rng):
+def test_packed_evaluator_matches_oracle(rng):
     for _ in range(25):
         n = int(rng.integers(1, 9))
         c = random_dag(rng, n, max_gates=14)
         assignments = [[int(b) for b in rng.integers(0, 2, n)] for _ in range(64)]
-        blk = InputBlock.pack(assignments)
-        expect = eval_block(c, blk)
-        words = np.array([[np.uint64(blk.words[i])] for i in range(n)], dtype=np.uint64)
-        got = PackedEvaluator(c).outputs(words)
-        for k in range(len(c.outputs)):
-            assert int(got[k][0]) == expect[k]
+        got = PackedEvaluator(c).outputs(pack_lanes(n, [_mask(a) for a in assignments]))
+        for lane, x in enumerate(assignments):
+            assert _lane(got, lane) == oracle_eval_dag(c, x)
+            assert tuple(_lane(got, lane)) == eval_circuit(c, x)
 
 
 def test_exhaustive_table_matches_oracle(rng):
     for _ in range(10):
         n = int(rng.integers(1, 7))
         c = random_dag(rng, n, max_gates=8)
+        assert exhaustive_table(c) == oracle_table_dag(c)
+
+
+def test_exhaustive_table_in_chunks_matches_oracle(rng):
+    # n = 15: 512 table words, evaluated in two chunks that differ in x14
+    for _ in range(2):
+        c = random_dag(rng, 15, max_gates=30)
+        gates = c.gates + (Gate(GateKind.AND, (14, 13)),
+                           Gate(GateKind.XOR, (c.outputs[0], len(c.gates))))
+        c = CircuitDag(15, gates, (len(gates) - 1,))
         assert exhaustive_table(c) == oracle_table_dag(c)
 
 

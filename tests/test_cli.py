@@ -213,3 +213,11 @@ def test_bad_override_value_exits_2(workdir, capsys, override, key):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: override {key} must be")
     assert not (workdir / "x").exists()
+
+
+def test_synth_n_beyond_float_exits_2(workdir, capsys):
+    rc = run(["synth", "--n", "1" + "0" * 400, "--d", "3", "--eps", "0.25", "--out", "x"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: n does not fit a float")
+    assert not (workdir / "x").exists()

@@ -100,6 +100,21 @@ def test_packed_mobius_matches_uint8_oracle(rng, n):
     assert np.array_equal(g.mobius_transform(got, n), _pack_rows(bits, n))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bitsliced_majority_matches_lane_popcount(rng, n):
+    rows = rng.integers(0, 1 << 63, size=(n, 5), dtype=np.uint64) << np.uint64(1)
+    rows |= rng.integers(0, 2, size=(n, 5), dtype=np.uint64)
+    full = np.full(5, ~np.uint64(0))
+    full[-1] = np.uint64((1 << 40) - 1)
+    got = g.majority_words(list(rows), full)
+    for lane in range(5 * 64):
+        b, off = divmod(lane, 64)
+        ones = sum(int(r) >> off & 1 for r in rows[:, b])
+        want = int(2 * ones > n and (int(full[b]) >> off & 1))
+        assert int(got[b]) >> off & 1 == want
+    assert np.array_equal(got, g.majority_words(rows, full))  # array rows too
+
+
 def test_truth_table_guard():
     with pytest.raises(ResourceLimitError):
         g.from_truth_table(0, 25)

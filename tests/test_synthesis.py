@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apxmaj import synthesis as S
-from apxmaj.circuits import GateKind, InputBlock, eval_block, eval_circuit
+from apxmaj.circuits import GateKind, eval_circuit
 from apxmaj.errors import ResourceLimitError
 from apxmaj.rng import rng_for
 
@@ -206,6 +206,19 @@ def test_empirical_matches_prediction_on_random_input(rng):
     obs = S.empirical_level_check(res, mask)
     for o in obs[:-1]:
         assert o.within_3_sigma
+
+
+def test_level_checks_match_one_assignment_at_a_time(rng):
+    p = S.plan(**{k: DESK[k] for k in ("n", "d", "eps")}, overrides=DESK["overrides"])
+    res = S.synth(p, seed=5)
+    xs = [0, (1 << 101) - 1] + [int(m) for m in rng.integers(0, 1 << 62, size=68)]
+    xs += [sum(1 << int(i) for i in rng.permutation(101)[:w]) for w in (40, 50, 61)]
+    xs.append([int(b) for b in rng.integers(0, 2, 101)])
+    checks = S.level_checks(res, xs)
+    assert checks == [S.empirical_level_check(res, x) for x in xs]
+    ones = res.level_ones([S._as_mask(101, x) for x in xs])
+    assert ones.shape == (p.d, len(xs))
+    assert [[o.ones for o in obs] for obs in checks] == ones.T.tolist()
 
 
 def test_resample_extreme_witnesses_first_try():
