@@ -38,7 +38,6 @@ EXIT_RESOURCE = 3
 class RunConfig:
     seed: int = 0
     trials: int = 2000
-    threads: int = 1
     out: str = "out"
     max_n: int = 20
     max_width: int = synth_mod.DEFAULT_WIDTH_CAP
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--trials", type=_int_or_text, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--max-n", type=int, default=None)
         sp.add_argument("--max-width", type=int, default=None)
@@ -129,7 +127,7 @@ def _config_from(args) -> RunConfig:
             if not hasattr(cfg, key):
                 raise ParseError(f"unknown config key '{key}'")
             setattr(cfg, key, value)
-    for key in ("seed", "trials", "threads", "out"):
+    for key in ("seed", "trials", "out"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -317,7 +315,7 @@ def cmd_degree(args, cfg: RunConfig) -> int:
         table = verify_mod.TruthTable.from_hex(args.hex_table, args.n)
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
-    cert = verify_mod.min_approx_degree(table, args.eps, threads=cfg.threads)
+    cert = verify_mod.min_approx_degree(table, args.eps)
     out = _outdir(cfg)
     doc = {
         "n": cert.n, "eps": cert.eps, "degree": cert.degree,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class SparsePolyF2:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly(n: int, monomials: Iterable[int] = ()) -> SparsePolyF2:
-    return SparsePolyF2(n, frozenset(monomials))
 
 
 def zero(n: int) -> SparsePolyF2:
@@ -91,6 +87,8 @@ def eval_poly(p: SparsePolyF2, x: Sequence[int] | int) -> int:
 
 def _as_mask(n: int, x: Sequence[int] | int) -> int:
     if isinstance(x, int):
+        if x < 0 or x >> n:
+            raise DimensionError(f"{x:#x} does not fit {n} bits")
         return x
     if len(x) != n:
         raise DimensionError(f"expected {n} bits, got {len(x)}")

@@ -494,6 +494,14 @@ class TechnicalLemmaReport:
         return all(c.holds for c in self.checks if c.applies)
 
 
+def _log_complement(k: int, z: int, m: int) -> float:
+    """log(1 - k/m), with z = m - k: log1p(-k/m) when k/m is the smaller
+    ratio, else log(z/m), so 1 - k/m never rounds to 0 when m > 2^53."""
+    if z == 0:
+        return -math.inf
+    return math.log1p(-k / m) if k <= z else math.log(z / m)
+
+
 def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float, k: int,
                           eps0: float = EPS0) -> TechnicalLemmaReport:
     """Exact (1 - k/M)^t versus the claimed exp(-s)-scale bounds.
@@ -517,9 +525,9 @@ def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float, k: i
     }
     t = math.ceil(math.exp(a) * s)
     center = m * math.exp(-a)
-    log_p_or = t * math.log1p(-k / m) if k < m else -math.inf
     z = m - k
-    log_p_and = t * math.log1p(-z / m) if z < m else -math.inf
+    log_p_or = t * _log_complement(k, z, m)
+    log_p_and = t * _log_complement(z, k, m)
 
     or_band = "I0" if k <= center * (1 - gamma) else ("I1" if k >= center * (1 + gamma) else None)
     and_band = "J1" if z <= center * (1 - gamma) else ("J0" if z >= center * (1 + gamma) else None)

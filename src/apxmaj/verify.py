@@ -3,10 +3,11 @@
 certification, triangle-inequality checks, and report emission.
 
 The degree oracle is exhaustive and therefore tiny: n <= 5 and at most 26
-basis monomials (2^26 candidates).  Candidate truth tables are enumerated by
-doubling over the basis, so each block is a single XOR + popcount sweep; the
-first within-budget candidate in basis-subset index order wins, which makes
-witnesses deterministic.
+basis monomials (2^26 candidates).  Each degree level is refuted or hit by
+the cheaper of two exhaustive searches: syndrome decoding over the Hamming
+ball of radius floor(eps * 2^n) around f, or one XOR + popcount sweep over
+the span of the level's monomials.  Either way the within-budget candidate
+of least basis-subset index wins, which makes witnesses deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -99,7 +99,7 @@ class DegreeCertificate:
     distance: int
     allowed: int
     exhausted: bool           # every smaller degree exhaustively refuted
-    scanned: tuple[int, ...]  # candidates scanned per degree level
+    scanned: tuple[int, ...]  # span size refuted or searched per level, not work done
 
 
 def degree_basis(n: int, degree: int) -> list[int]:
@@ -133,20 +133,21 @@ def span_tables(n: int, degree: int) -> np.ndarray:
 def _span(n: int, masks: Sequence[int]) -> np.ndarray:
     """uint32 tables of the XOR of every subset of the monomials `masks`,
     entry i holding the subset whose bit j selects masks[j] (by doubling)."""
-    tables = np.zeros(1, dtype=np.uint32)
-    for mask in masks:
-        tables = np.concatenate([tables, tables ^ np.uint32(monomial_table(n, mask))])
+    tables = np.zeros(1 << len(masks), dtype=np.uint32)
+    for j, mask in enumerate(masks):
+        np.bitwise_xor(tables[:1 << j], np.uint32(monomial_table(n, mask)),
+                       out=tables[1 << j:2 << j])
     return tables
 
 
-def min_approx_degree(f: TruthTable, eps: float, threads: int = 1) -> DegreeCertificate:
+def min_approx_degree(f: TruthTable, eps: float) -> DegreeCertificate:
     """Least D such that some polynomial of degree <= D is within Hamming
     distance floor(eps * 2^n) of f, with an explicit witness.
 
-    Scans every degree level below the answer exhaustively (2^#monomials
-    candidates, XOR + popcount per candidate).  At eps = 0 the witness at the
-    answer level is the ANF itself; the refutation of smaller degrees is
-    still done by scanning.
+    Refutes every degree level below the answer exhaustively, each by the
+    cheaper (in patterns or candidates) of the Hamming ball around f and the
+    span of the level's monomials.  At eps = 0 the witness at the answer
+    level is the ANF itself; smaller degrees are still refuted level by level.
     """
     n = f.n
     if n > DEGREE_ORACLE_MAX_N:
@@ -154,6 +155,7 @@ def min_approx_degree(f: TruthTable, eps: float, threads: int = 1) -> DegreeCert
     if not 0 <= eps < 1:
         raise ValueError("eps must be in [0, 1)")
     allowed = math.floor(eps * (1 << n))
+    ball = sum(math.comb(1 << n, k) for k in range(allowed + 1))
     anf = from_truth_table(f.bits, n)
     scanned: list[int] = []
     for d in range(n + 1):
@@ -164,61 +166,68 @@ def min_approx_degree(f: TruthTable, eps: float, threads: int = 1) -> DegreeCert
             raise ResourceLimitError(
                 f"{len(basis)} monomials of degree <= {d} exceeds cap "
                 f"{DEGREE_ORACLE_MAX_MONOMIALS}")
-        hit, dist = _scan_level(n, basis, f.bits, allowed, threads)
+        if ball < 1 << len(basis):
+            hit = _ball_level(n, basis, anf, allowed)
+        else:
+            hit = _scan_level(n, basis, f.bits, allowed)
         scanned.append(1 << len(basis))
         if hit is not None:
+            index, dist = hit
             witness = SparsePolyF2(n, frozenset(
-                basis[j] for j in range(len(basis)) if hit >> j & 1))
+                basis[j] for j in range(len(basis)) if index >> j & 1))
             return DegreeCertificate(n, eps, d, witness, dist, allowed, True, tuple(scanned))
     raise AssertionError("degree n span contains every function")  # pragma: no cover
 
 
-def _scan_level(n: int, basis: list[int], f_bits: int, allowed: int,
-                threads: int) -> tuple[int | None, int]:
-    """First candidate index within `allowed` of f, scanning the whole span.
+def _scan_level(n: int, basis: list[int], f_bits: int,
+                allowed: int) -> tuple[int, int] | None:
+    """(index, distance) of the first span candidate within `allowed` of f,
+    or None.  Candidates are indexed by basis subsets (bit j = basis[j]
+    included) and scanned in one XOR + popcount sweep."""
+    dist = np.bitwise_count(_span(n, basis) ^ np.uint32(f_bits))
+    hits = np.flatnonzero(dist <= allowed)
+    return (int(hits[0]), int(dist[hits[0]])) if hits.size else None
 
-    Candidates are indexed by basis subsets (bit j = basis[j] included); the
-    span is materialized by doubling over the first 20 basis elements and
-    XOR-offsetting per block of the remaining ones.  Returns
-    (index, distance) or (None, min_distance_seen).
+
+def _ball_level(n: int, basis: list[int], anf: SparsePolyF2,
+                allowed: int) -> tuple[int, int] | None:
+    """What `_scan_level` returns, found by syndrome decoding: f ^ e has
+    degree <= D for an error pattern e of weight <= `allowed` exactly when
+    ANF(f) ^ ANF(e) has no monomial outside `basis`.
+
+    The ball is walked weight by weight.  Layer k holds ANF(f) ^ ANF(e) for
+    every e of weight k, grouped by e's last set position p; the group at p
+    is the prefix of layer k - 1 whose last position is below p (C(p, k - 1)
+    entries), XOR the ANF of the unit vector at p (the monomials containing p).
+    Several patterns may hit; the least basis-subset index wins, as in the
+    span scan, and the distance is its pattern's weight.
     """
-    m = len(basis)
-    low = min(m, 20)
-    tables = _span(n, basis[:low])
-    high_masks = [np.uint32(monomial_table(n, mask)) for mask in basis[low:]]
-    n_blocks = 1 << (m - low)
-    f_word = np.uint32(f_bits & 0xFFFFFFFF)
-
-    def scan_block(h: int) -> tuple[int | None, int]:
-        offset = f_word
-        for j in range(m - low):
-            if h >> j & 1:
-                offset ^= high_masks[j]
-        dist = np.bitwise_count(tables ^ offset)
-        hits = np.nonzero(dist <= allowed)[0]
+    size = 1 << n
+    high = np.uint32(sum(1 << m for m in range(size)) ^ sum(1 << m for m in basis))
+    units = [np.uint32(sum(1 << m for m in range(size) if m & p == p)) for p in range(size)]
+    layer = np.array([sum(1 << m for m in anf.monomials)], dtype=np.uint32)
+    best = None
+    for k in range(min(allowed, size) + 1):
+        if k:
+            prev, layer, start = layer, np.empty(math.comb(size, k), dtype=np.uint32), 0
+            for p in range(k - 1, size):
+                stop = start + math.comb(p, k - 1)
+                np.bitwise_xor(prev[:stop - start], units[p], out=layer[start:stop])
+                start = stop
+        hits = layer[(layer & high) == 0]
         if hits.size:
-            first = int(hits[0])
-            return first, int(dist[first])
-        return None, int(dist.min())
-
-    best = 1 << n
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and n_blocks > 1 else None
-    try:
-        block_results = (pool.map if pool else map)(scan_block, range(n_blocks))
-        for h, (first, d) in enumerate(block_results):
-            if first is not None:
-                return (h << low) | first, d
-            best = min(best, d)
-    finally:
-        # an early hit leaves blocks queued: cancel them, join the workers
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return None, best
+            index = np.zeros(hits.size, dtype=np.int64)
+            for j, m in enumerate(basis):
+                index |= (hits >> np.uint32(m) & np.uint32(1)).astype(np.int64) << j
+            least = int(index.min())
+            if best is None or least < best[0]:
+                best = (least, k)
+    return best
 
 
-def smolensky_table(ns: Sequence[int], eps: float, threads: int = 1) -> list[tuple[int, int]]:
+def smolensky_table(ns: Sequence[int], eps: float) -> list[tuple[int, int]]:
     """(n, minimum approximate degree of MAJ_n at eps) for each n."""
-    return [(n, min_approx_degree(majority_truth_table(n), eps, threads).degree) for n in ns]
+    return [(n, min_approx_degree(majority_truth_table(n), eps).degree) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +352,9 @@ class CertificationReport:
 def certify_approx_majority(c, eps: float, mode: str = "exact",
                             trials: int = 100_000, seed: int | None = None) -> CertificationReport:
     """Pass iff disagreement with MAJ_n is <= eps (exact mode) or the Wilson
-    99% upper bound on disagreement is <= eps (mc mode)."""
+    99% upper bound on disagreement is <= eps (mc mode); eps in [0, 1/2]."""
+    if not 0 <= eps <= 0.5:
+        raise ValueError(f"eps must be in [0, 1/2], got {eps}")
     n = _n_of(c)
     if mode == "exact":
         rep = agreement(c, majority_truth_table(n), "exact")

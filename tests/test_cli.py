@@ -93,6 +93,26 @@ def test_verify_const0_fails_quarter(workdir):
     assert run(["verify", "z.netlist", "--eps", "0.5", "--out", "v2"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("eps", ["2", "-1", "nan"])
+def test_verify_eps_out_of_range_exits_2(workdir, capsys, eps):
+    (workdir / "z.netlist").write_text(
+        "input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+    for mode in ("exact", "mc"):
+        assert run(["verify", "z.netlist", "--eps", eps, "--mode", mode, "--out", "v"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: eps must be in [0, 1/2]")
+        assert not (workdir / "v").exists()
+
+
+def test_threads_flag_removed(workdir, capsys):
+    assert run(["degree", "--hex", "e8", "--n", "3", "--eps", "0.125",
+                "--threads", "4", "--out", "d"]) == EXIT_USAGE
+    (workdir / "cfg.json").write_text(json.dumps({"threads": 4}))
+    assert run(["--config", "cfg.json", "degree", "--hex", "e8", "--n", "3",
+                "--eps", "0.125", "--out", "d"]) == EXIT_USAGE
+    assert not (workdir / "d").exists()
+
+
 def test_degree_examples_and_cap(workdir):
     assert run(["degree", "--hex", "e8", "--n", "3", "--eps", "0.125", "--out", "d"]) == EXIT_OK
     doc = json.loads((workdir / "d/degree.json").read_text())
@@ -115,6 +135,12 @@ def test_check_lemma_hypothesis_skip(workdir, capsys):
     assert run(["check", "lemma", "--grid", "grid.json", "--out", "k"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "hypothesis_skips=1" in out
+
+
+def test_check_lemma_huge_m_tuple_is_checked(workdir, capsys):
+    # this seed draws M = 32751464541038204 > 2^53 with k = 1
+    assert run(["check", "lemma", "--seed", "825368914", "--out", "k"]) == EXIT_OK
+    assert "violations=0" in capsys.readouterr().out
 
 
 def test_check_tails_reports_small_n_violations(workdir):

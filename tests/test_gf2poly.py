@@ -120,6 +120,20 @@ def test_truth_table_guard():
         g.from_truth_table(0, 25)
 
 
+def test_int_inputs_must_fit_their_width():
+    # a table or point given as an int is range-checked, not truncated
+    maj3 = g.parse_poly("x0*x1 + x0*x2 + x1*x2", 3)
+    for call in (lambda: g.from_truth_table(1 << 9, 3),
+                 lambda: g.from_truth_table(1 << 64, 3),
+                 lambda: g.from_truth_table(-1, 3),
+                 lambda: g.eval_poly(maj3, 1 << 10),
+                 lambda: g.eval_poly(maj3, -1)):
+        with pytest.raises(DimensionError):
+            call()
+    assert g.from_truth_table(0xE8, 3) == maj3
+    assert g.eval_poly(maj3, 0b011) == 1
+
+
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), polys(n))))
 @settings(max_examples=80, deadline=None)
 def test_roundtrip_and_semantics(np_):

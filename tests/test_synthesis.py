@@ -266,6 +266,20 @@ def test_technical_lemma_k_zero():
     assert rep.ok
 
 
+def test_technical_lemma_huge_m_one_off_the_ends():
+    # M > 2^53: 1 - k/M for k = 1 (and the zeros-count for k = M - 1) must
+    # not round to log(0); this tuple is drawn by `check lemma --seed 825368914`
+    a, s, m, n, gamma = (31.621891952577354, 17.663265324289764, 32751464541038204,
+                         196, 0.009735847953084733)
+    t = math.ceil(math.exp(a) * s)
+    one, twin = (S.check_technical_lemma(a, s, m, n, gamma, k) for k in (1, m - 1))
+    assert one.hypotheses_ok and one.ok and twin.hypotheses_ok and twin.ok
+    assert one.log_p_or_zero == pytest.approx(-t / m, rel=1e-12)
+    assert one.log_p_and_one == pytest.approx(-t * math.log(m), rel=1e-12)
+    # the twin's ones-count is the first tuple's zeros-count, and vice versa
+    assert (twin.log_p_or_zero, twin.log_p_and_one) == (one.log_p_and_one, one.log_p_or_zero)
+
+
 def test_technical_lemma_hypothesis_reporting():
     rep = S.check_technical_lemma(1.0, 5.0, 100, 100, 0.5, 3)
     assert not rep.hypotheses_ok

@@ -1,11 +1,12 @@
 import json
 import math
-import threading
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
@@ -108,21 +109,75 @@ def test_min_approx_degree_caps():
         V.min_approx_degree(V.TruthTable(5, 1 << 31), 1 / 64)
 
 
-def test_min_approx_degree_threads_agree():
+def test_min_approx_degree_ball_path_equals_span_path():
+    # MAJ5 @ 1/8: both searches give the same (index, distance) at every
+    # level up to the answer, and the certificate is the answer level's hit
     maj5 = V.majority_truth_table(5)
-    a = V.min_approx_degree(maj5, 0.125, threads=1)
-    b = V.min_approx_degree(maj5, 0.125, threads=4)
-    assert (a.degree, a.distance, a.witness) == (b.degree, b.distance, b.witness)
+    anf = g.from_truth_table(maj5.bits, 5)
+    cert = V.min_approx_degree(maj5, 0.125)
+    for d in range(cert.degree + 1):
+        basis = V.degree_basis(5, d)
+        hit = V._ball_level(5, basis, anf, cert.allowed)
+        assert hit == V._scan_level(5, basis, maj5.bits, cert.allowed)
+        assert (hit is not None) == (d == cert.degree)
+    index, dist = hit
+    assert cert.witness == g.SparsePolyF2(5, frozenset(
+        m for j, m in enumerate(basis) if index >> j & 1))
+    assert cert.distance == dist
 
 
-def test_scan_level_pool_shut_down_on_early_hit():
+def test_level3_hit_reports_span_size():
     # x0*x1*x2 is within 1 of itself at eps = 1/32, so the degree-3 level (26
-    # monomials, 64 blocks of 2^20 candidates) hits in block 0
+    # monomials, a 2^26 span) hits; the 33-pattern ball finds it
     f = V.TruthTable.from_poly(g.parse_poly("x0*x1*x2", 5))
-    before = threading.active_count()
-    cert = V.min_approx_degree(f, 1 / 32, threads=4)
+    cert = V.min_approx_degree(f, 1 / 32)
     assert cert.degree == 3 and cert.scanned[-1] == 1 << 26
-    assert threading.active_count() == before
+
+
+EPS_GRID = (0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 3 / 8)
+
+
+def _ball_is_chosen(n: int, basis: list[int], allowed: int) -> bool:
+    """The counted-work rule of min_approx_degree."""
+    return sum(math.comb(1 << n, k) for k in range(allowed + 1)) < 1 << len(basis)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))),
+    st.sampled_from(EPS_GRID))
+@settings(max_examples=150, deadline=None)
+def test_ball_matches_brute_force_span_search(n_bits, eps):
+    # every level up to 2^16 candidates on which the oracle walks the ball:
+    # the least-index hit and its distance, by brute force over span_tables
+    n, bits = n_bits
+    allowed = math.floor(eps * (1 << n))
+    anf = g.from_truth_table(bits, n)
+    for d in range(n + 1):
+        basis = V.degree_basis(n, d)
+        if len(basis) > 16 or not _ball_is_chosen(n, basis, allowed):
+            continue
+        dist = np.bitwise_count(V.span_tables(n, d) ^ np.uint32(bits))
+        hits = np.flatnonzero(dist <= allowed)
+        want = (int(hits[0]), int(dist[hits[0]])) if hits.size else None
+        assert V._ball_level(n, basis, anf, allowed) == want
+
+
+@given(st.integers(0, (1 << 26) - 1), st.lists(st.integers(0, 31), max_size=3),
+       st.sampled_from(EPS_GRID[:5]))
+@settings(max_examples=6, deadline=None)
+def test_ball_matches_span_scan_at_degree3(coeffs, flips, eps):
+    # n = 5, level 3: a degree-3 polynomial with up to 3 flipped entries,
+    # against one sweep of the 2^26-candidate span (about 0.3 s and 350 MB
+    # each, hence few examples)
+    basis = V.degree_basis(5, 3)
+    bits = g.to_truth_table(g.SparsePolyF2(5, frozenset(
+        m for j, m in enumerate(basis) if coeffs >> j & 1)))
+    for j in flips:
+        bits ^= 1 << j
+    allowed = math.floor(eps * 32)
+    assert _ball_is_chosen(5, basis, allowed)
+    assert (V._ball_level(5, basis, g.from_truth_table(bits, 5), allowed)
+            == V._scan_level(5, basis, bits, allowed))
 
 
 def test_span_tables_is_reed_muller():
