@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -239,8 +239,6 @@ def parse_netlist(text: str) -> CircuitDag:
                 _check_arity(kind, len(args))
             except ParseError as e:
                 raise ParseError(str(e), lineno) from None
-            for a in args:
-                _check_name(a, lineno)
             seen.add(name)
             gate_rows.append((name, kind, args))
         else:
@@ -249,13 +247,12 @@ def parse_netlist(text: str) -> CircuitDag:
     ids: dict[str, int] = {name: i for i, name in enumerate(input_names)}
     gates: list[Gate] = [Gate(GateKind.INPUT)] * len(input_names)
     for name, kind, args in gate_rows:
-        arg_ids = []
-        for a in args:
-            if a not in ids:
-                raise ParseError(f"undefined gate reference '{a}' (must be declared earlier)")
-            arg_ids.append(ids[a])
-        ids[name] = len(gates)
-        gates.append(Gate(kind, tuple(arg_ids)))
+        # every key of ids was name-checked where it was defined
+        try:
+            gates.append(Gate(kind, tuple([ids[a] for a in args])))
+        except KeyError as e:
+            raise ParseError(f"undefined gate reference '{e.args[0]}' (must be declared earlier)") from None
+        ids[name] = len(gates) - 1
     outputs = []
     for name, lineno in output_names:
         if name not in ids:
@@ -402,33 +399,6 @@ def eval_circuit(c: CircuitDag, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(vals[o] for o in c.outputs)
 
 
-def eval_formula(f: FormulaNode, x: Sequence[int]) -> int:
-    k = f.kind
-    if k is GateKind.INPUT:
-        return x[f.var] & 1
-    if k is GateKind.CONST0:
-        return 0
-    if k is GateKind.CONST1:
-        return 1
-    vals = [eval_formula(c, x) for c in f.children]
-    if k is GateKind.NOT:
-        return vals[0] ^ 1
-    if k is GateKind.AND:
-        v = 1
-        for b in vals:
-            v &= b
-        return v
-    if k is GateKind.OR:
-        v = 0
-        for b in vals:
-            v |= b
-        return v
-    v = 0
-    for b in vals:
-        v ^= b
-    return v
-
-
 def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
     """(n, ceil(len(masks)/64)) uint64 input words, one assignment per lane:
     bit j of row i is bit i of masks[j]; lanes past the last mask are 0."""
@@ -527,8 +497,6 @@ class PackedEvaluator:
     certification (10^5 assignments) and the per-level statistics of
     synthesized circuits (~2^15 gates) all run on it.
     """
-
-    _IDENT = {GateKind.AND: 1, GateKind.OR: 0, GateKind.XOR: 0, GateKind.NOT: 0}
 
     def __init__(self, c: CircuitDag):
         self.circuit = c

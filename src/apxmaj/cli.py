@@ -24,7 +24,7 @@ import numpy as np
 
 from . import compiler, gf2poly, verify as verify_mod
 from . import synthesis as synth_mod
-from .circuits import parse_formula, parse_netlist, serialize_netlist
+from .circuits import formula_to_dag, parse_formula, parse_netlist, serialize_netlist
 from .errors import DimensionError, ParseError, ResourceLimitError
 from .rng import rng_for
 
@@ -39,7 +39,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 2000
     out: str = "out"
-    max_n: int = 20
     max_width: int = synth_mod.DEFAULT_WIDTH_CAP
     overrides: dict = field(default_factory=dict)
 
@@ -62,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        print("resource cap: input nested too deep (Python recursion limit)", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -77,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--trials", type=_int_or_text, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--max-n", type=int, default=None)
         sp.add_argument("--max-width", type=int, default=None)
 
     sp = sub.add_parser("compile", help="formula -> probabilistic polynomial recipe")
@@ -133,8 +134,6 @@ def _config_from(args) -> RunConfig:
             setattr(cfg, key, v)
     if isinstance(cfg.trials, bool) or not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ParseError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if getattr(args, "max_n", None) is not None:
-        cfg.max_n = args.max_n
     if getattr(args, "max_width", None) is not None:
         cfg.max_width = args.max_width
     if getattr(args, "override", None):
@@ -197,9 +196,9 @@ def cmd_compile(args, cfg: RunConfig) -> int:
     rows = []
     if recipe.n <= 16:
         tables = compiler.sample_tables(recipe, cfg.trials, cfg.seed)
-        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << recipe.n)
-        truth = _formula_truth_bits(formula, recipe.n)
-        errs = (bits != truth[None, :]).mean(axis=0)
+        truth = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits
+        wrong = tables ^ np.frombuffer(truth.to_bytes(tables.shape[1], "little"), dtype=np.uint8)
+        errs = np.unpackbits(wrong, axis=-1, bitorder="little", count=1 << recipe.n).mean(axis=0)
         degrees = compiler.table_degrees(tables, recipe.n)
         for j in range(1 << recipe.n):
             rows.append({"input": j, "empirical_error": float(errs[j])})
@@ -213,13 +212,6 @@ def cmd_compile(args, cfg: RunConfig) -> int:
           f"theoretical={recipe.theoretical_bound:.1f}"
           + (f" max_sampled_degree={max_deg}" if max_deg is not None else ""))
     return EXIT_OK
-
-
-def _formula_truth_bits(formula, n: int) -> np.ndarray:
-    from .circuits import formula_to_dag
-    table = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, n))
-    raw = np.frombuffer(table.bits.to_bytes(max(1, (1 << n) // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=1 << n)
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -286,10 +278,6 @@ def _single_output_netlist(path: str):
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     dag = _single_output_netlist(args.netlist)
-    if args.mode == "exact" and dag.n_inputs > cfg.max_n:
-        raise ResourceLimitError(
-            f"exact mode capped at n <= {cfg.max_n} (circuit has {dag.n_inputs}); "
-            f"use --mode mc or raise --max-n")
     if args.mode == "mc":
         report = verify_mod.certify_approx_majority(
             dag, args.eps, "mc", trials=cfg.trials, seed=cfg.seed)

@@ -9,7 +9,6 @@ convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations

@@ -84,17 +84,10 @@ class LevelSpec:
 
 @dataclass(frozen=True)
 class BiasBands:
-    """Input promise sets and per-level target bands.
-
-    Y_eps / N_eps are weight thresholds on the input; the I/J bands bound the
-    count of the informative statistic of a level's M outputs (ones for AND
-    levels, zeros for OR levels) around M*e^-A.
-    """
+    """Input promise sets: Y_eps / N_eps are weight thresholds on the input."""
 
     n: int
     eps: float
-    a: float
-    m: float
 
     @property
     def y_threshold(self) -> float:
@@ -103,16 +96,6 @@ class BiasBands:
     @property
     def n_threshold(self) -> float:
         return (0.5 - self.eps / math.sqrt(self.n)) * self.n
-
-    def in_y(self, weight: int) -> bool:
-        return weight >= self.y_threshold
-
-    def in_n(self, weight: int) -> bool:
-        return weight <= self.n_threshold
-
-    def count_band(self, gamma: float) -> tuple[float, float]:
-        center = self.m * math.exp(-self.a)
-        return center * (1.0 - gamma), center * (1.0 + gamma)
 
 
 @dataclass(frozen=True)
@@ -155,7 +138,7 @@ class SynthPlan:
         return out
 
     def bands(self) -> BiasBands:
-        return BiasBands(self.n, self.eps, self.a, math.exp(min(self.log_m, 700.0)))
+        return BiasBands(self.n, self.eps)
 
 
 # override key -> (lower bound, whether the bound is strict); every value
@@ -352,7 +335,7 @@ def bias_recurrence(p: SynthPlan, w: int) -> list[LevelPrediction]:
         t = spec.fan_in if spec.fan_in is not None else math.exp(spec.log_fan_in)
         width = spec.width if spec.width is not None else math.exp(min(spec.log_width, 700.0))
         if spec.kind is GateKind.AND:
-            q_next = q**t if spec.index > 1 else (w / p.n) ** t
+            q_next = q**t
             dq = t * q ** (t - 1) if q > 0 else 0.0
         else:
             q_next = 1.0 - (1.0 - q) ** t

@@ -24,7 +24,8 @@ import numpy as np
 
 from .circuits import CHUNK_WORDS, CircuitDag, PackedEvaluator, exhaustive_table, random_input_words
 from .errors import DimensionError, ParseError, ResourceLimitError
-from .gf2poly import SparsePolyF2, from_truth_table, majority_words, to_truth_table
+from .gf2poly import (SparsePolyF2, _indices, from_truth_table, majority_words, to_truth_table,
+                      valid_words, variable_words)
 from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
@@ -82,9 +83,8 @@ class TruthTable:
 def majority_truth_table(n: int) -> TruthTable:
     if n > EXACT_AGREEMENT_MAX_N:
         raise ResourceLimitError(f"majority table capped at n <= {EXACT_AGREEMENT_MAX_N}")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    bits = (np.bitwise_count(idx) * 2 > n).astype(np.uint8)
-    return TruthTable(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    words = majority_words(variable_words(n), valid_words(n))
+    return TruthTable(n, int.from_bytes(words.astype("<u8").tobytes(), "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +105,7 @@ class DegreeCertificate:
 def degree_basis(n: int, degree: int) -> list[int]:
     """Monomial masks of degree <= `degree`, sorted by (degree, index tuple)."""
     monos = [m for m in range(1 << n) if m.bit_count() <= degree]
-    return sorted(monos, key=lambda m: (m.bit_count(), _mask_indices(m)))
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return sorted(monos, key=lambda m: (m.bit_count(), _indices(m)))
 
 
 def monomial_table(n: int, mask: int) -> int:
@@ -357,6 +353,9 @@ def certify_approx_majority(c, eps: float, mode: str = "exact",
         raise ValueError(f"eps must be in [0, 1/2], got {eps}")
     n = _n_of(c)
     if mode == "exact":
+        if n > EXACT_AGREEMENT_MAX_N:
+            raise ResourceLimitError(f"exact mode capped at n <= {EXACT_AGREEMENT_MAX_N} "
+                                     f"(circuit has {n}); use --mode mc")
         rep = agreement(c, majority_truth_table(n), "exact")
         dis = 1.0 - rep.estimate
         return CertificationReport(n, eps, mode, dis, dis, dis, rep.trials, None, dis <= eps)

@@ -60,6 +60,41 @@ def test_parse_netlist_constants_take_no_operands():
         parse_netlist("input x0\nc = CONST1 x0\noutput c")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("input 1x\n", "line 1: invalid name '1x'"),
+    ("input a\n1g = NOT a\n", "line 2: invalid name '1g'"),
+    ("input a\ninput a\n", "line 2: duplicate definition of 'a'"),
+    ("input a\ng = NOT a\ng = NOT a\n", "line 3: duplicate definition of 'g'"),
+    ("input a\ng = NOT a\na = NOT g\n", "line 3: duplicate definition of 'a'"),
+    ("input a\ng = NAND a\n", "line 2, col 5: unknown gate kind 'NAND'"),
+    ("input a\n  g  =  nand a\n", "line 2, col 7: unknown gate kind 'nand'"),
+    ("input a\ng = INPUT\n", "line 2: INPUT is declared with 'input <name>'"),
+    ("input a\ninput b\ng = NOT a b\n", "line 3: NOT takes exactly 1 operand, got 2"),
+    ("input a\ng = NOT\n", "line 2: NOT takes exactly 1 operand, got 0"),
+    ("input a\nc = CONST1 a\n", "line 2: CONST1 takes no operands, got 1"),
+    ("input a\nc = CONST0 a a\n", "line 2: CONST0 takes no operands, got 2"),
+    ("input a\ng = AND a zz\noutput g\n", "undefined gate reference 'zz' (must be declared earlier)"),
+    ("input a\ng = AND a g\noutput g\n", "undefined gate reference 'g' (must be declared earlier)"),
+    ("input x0\ng = AND x0 1bad\noutput g\n",
+     "undefined gate reference '1bad' (must be declared earlier)"),
+    ("input a\noutput zz\n", "line 2: undefined output 'zz'"),
+    ("input a b\n", "line 1: expected 'input <name>'"),
+    ("input a\noutput a b\n", "line 2: expected 'output <name>'"),
+    ("input a\nbogus line here\n", "line 2: expected 'input', 'output' or '<name> = <KIND> <operands>'"),
+])
+def test_parse_netlist_diagnostics(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == message
+
+
+def test_parse_netlist_input_declared_after_use():
+    c = parse_netlist("input a\ng = AND a b\ninput b\noutput g\n")
+    assert c.n_inputs == 2
+    assert c.gates[2] == Gate(GateKind.AND, (0, 1))
+    assert c.outputs == (2,)
+
+
 def test_parse_formula_examples():
     f = parse_formula("(and x0 x1 x2)")
     assert f.depth == 1 and f.size == 3
@@ -309,6 +344,9 @@ def test_majority_examples():
 
 def test_majority_table_small():
     assert majority_truth_table(3).bits == 0xE8
+    for n in range(15):
+        expected = sum(majority([j >> i & 1 for i in range(n)]) << j for j in range(1 << n))
+        assert majority_truth_table(n).bits == expected
 
 
 def test_formula_to_dag_consistency(rng):

@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from apxmaj import compiler
+from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
 from apxmaj.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+
+from conftest import oracle_table_formula, random_formula
 
 
 def run(argv):
@@ -45,6 +50,34 @@ def test_compile_malformed_exits_2(workdir, capsys):
     (workdir / "bad.sexpr").write_text("(and (and x0))\n")
     assert run(["compile", "bad.sexpr", "--out", "o"]) == EXIT_USAGE
     assert "fan-in-1" in capsys.readouterr().err
+
+
+def test_compile_nested_too_deep_exits_3(workdir, capsys):
+    (workdir / "deep.sexpr").write_text("(not " * 3000 + "x0" + ")" * 3000 + "\n")
+    assert run(["compile", "deep.sexpr", "--out", "o"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("resource cap: ")
+    assert not (workdir / "o").exists()
+    (workdir / "ok.sexpr").write_text("(not " * 300 + "x0" + ")" * 300 + "\n")
+    assert run(["compile", "ok.sexpr", "--trials", "50", "--out", "o"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", range(1, 9))  # table rows of 1, 1, 1, 2, 4, 8, 16, 32 bytes
+def test_compile_errors_match_unpacked_samples(workdir, n):
+    rng = np.random.default_rng(n)
+    for seed in range(2):
+        f = random_formula(rng, n, int(rng.integers(1, 4)), max_size=12)
+        f = FormulaNode(GateKind.XOR, (f, var(n - 1))) if f.n_vars < n else f
+        (workdir / "f.sexpr").write_text(serialize_formula(f))
+        assert run(["compile", "f.sexpr", "--seed", str(seed), "--trials", "300",
+                    "--out", "o"]) == EXIT_OK
+        tables = compiler.sample_tables(compiler.compile_formula(f), 300, seed)
+        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << n)
+        truth = oracle_table_formula(f, n)
+        wrong = [int((bits[:, j] != (truth >> j & 1)).sum()) for j in range(1 << n)]
+        expected = [f"{j},{k / 300!r}" for j, k in enumerate(wrong)]
+        assert (workdir / "o/errors.csv").read_text().splitlines()[1:] == expected
 
 
 def test_compile_reruns_byte_identical(workdir):
@@ -102,6 +135,30 @@ def test_verify_eps_out_of_range_exits_2(workdir, capsys, eps):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: eps must be in [0, 1/2]")
         assert not (workdir / "v").exists()
+
+
+def test_verify_exact_cap_checked_after_eps(workdir, capsys):
+    (workdir / "big.netlist").write_text(
+        "".join(f"input x{i}\n" for i in range(30)) + "z = CONST0\noutput z\n")
+    assert run(["verify", "big.netlist", "--eps", "2", "--out", "v"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: eps must be in [0, 1/2]")
+    assert run(["verify", "big.netlist", "--eps", "0.25", "--out", "v"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource cap: exact mode capped at n <= 20 (circuit has 30); use --mode mc\n")
+    assert not (workdir / "v").exists()
+
+
+def test_max_n_flag_removed(workdir, capsys):
+    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+    assert run(["verify", "z.netlist", "--eps", "0.25", "--max-n", "5", "--out", "v"]) == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["apxmaj: error: unrecognized arguments: --max-n 5"]
+    (workdir / "cfg.json").write_text(json.dumps({"max_n": 5}))
+    assert run(["--config", "cfg.json", "verify", "z.netlist", "--eps", "0.25",
+                "--out", "v"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown config key 'max_n'\n"
+    assert not (workdir / "v").exists()
 
 
 def test_threads_flag_removed(workdir, capsys):
