@@ -38,6 +38,8 @@ from .gf2poly import valid_words, variable_words
 WORD_BITS = 64
 # words per PackedEvaluator call in chunked evaluation (16,384 lanes)
 CHUNK_WORDS = 256
+# most inputs an exhaustive truth table enumerates (2^20 assignments)
+EXHAUSTIVE_MAX_N = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -231,7 +233,8 @@ def parse_netlist(text: str) -> CircuitDag:
             try:
                 kind = GateKind[toks[2]]
             except KeyError:
-                raise ParseError(f"unknown gate kind '{toks[2]}'", lineno, line.find(toks[2]) + 1)
+                col = raw.find(toks[2], raw.index("=") + 1) + 1
+                raise ParseError(f"unknown gate kind '{toks[2]}'", lineno, col)
             if kind is GateKind.INPUT:
                 raise ParseError("INPUT is declared with 'input <name>'", lineno)
             args = toks[3:]
@@ -251,7 +254,8 @@ def parse_netlist(text: str) -> CircuitDag:
         try:
             gates.append(Gate(kind, tuple([ids[a] for a in args])))
         except KeyError as e:
-            raise ParseError(f"undefined gate reference '{e.args[0]}' (must be declared earlier)") from None
+            raise ParseError(f"undefined gate reference '{e.args[0]}' (must be declared earlier)",
+                             _definition_line(text, name)) from None
         ids[name] = len(gates) - 1
     outputs = []
     for name, lineno in output_names:
@@ -259,6 +263,14 @@ def parse_netlist(text: str) -> CircuitDag:
             raise ParseError(f"undefined output '{name}'", lineno)
         outputs.append(ids[name])
     return CircuitDag(len(input_names), tuple(gates), tuple(outputs))
+
+
+def _definition_line(text: str, name: str) -> int | None:
+    """Line defining gate `name`, looked up only on error: no line per gate row is kept."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if len(toks) >= 3 and toks[1] == "=" and toks[0] == name:
+            return lineno
 
 
 def _check_name(name: str, lineno: int) -> None:
@@ -414,25 +426,21 @@ def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
     return out.view("<u8").astype(np.uint64)
 
 
-def exhaustive_table(c: CircuitDag, output: int = 0, max_n: int = 20) -> int:
+def exhaustive_table(c: CircuitDag, output: int = 0) -> int:
     """Truth table of one output as an integer (bit j = value at assignment j,
     where bit i of j is the value of x_i).  Runs :class:`PackedEvaluator` on
     the enumeration words of `variable_words`, CHUNK_WORDS words at a time."""
     n = c.n_inputs
-    if n > max_n:
-        raise ResourceLimitError(f"exhaustive evaluation capped at n <= {max_n}, got {n}")
-    row = c.outputs[_output_index(c, output)]
+    if n > EXHAUSTIVE_MAX_N:
+        raise ResourceLimitError(f"exhaustive evaluation capped at n <= {EXHAUSTIVE_MAX_N}, got {n}")
+    if not 0 <= output < len(c.outputs):
+        raise IndexError(f"circuit has {len(c.outputs)} outputs")
+    row = c.outputs[output]
     evaluator = PackedEvaluator(c)
     inputs = variable_words(n)
     table = np.concatenate([evaluator.run(inputs[:, s : s + CHUNK_WORDS])[row]
                             for s in range(0, inputs.shape[1], CHUNK_WORDS)])
     return int.from_bytes((table & valid_words(n)).astype("<u8").tobytes(), "little")
-
-
-def _output_index(c: CircuitDag, output: int) -> int:
-    if not 0 <= output < len(c.outputs):
-        raise IndexError(f"circuit has {len(c.outputs)} outputs")
-    return output
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 2000
     out: str = "out"
-    max_width: int = synth_mod.DEFAULT_WIDTH_CAP
-    overrides: dict = field(default_factory=dict)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,11 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
+    def common(sp, trials=True):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=_int_or_text, default=None)
+        if trials:
+            sp.add_argument("--trials", type=_int_or_text, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--max-width", type=int, default=None)
 
     sp = sub.add_parser("compile", help="formula -> probabilistic polynomial recipe")
     sp.add_argument("formula", help="path to an s-expression formula file")
@@ -92,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--override", default="",
                     help="comma list, e.g. A=3,M=16384,Mtop=16384,stop=4.85")
-    common(sp)
+    common(sp, trials=False)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("verify", help="certify a netlist as an approximate majority")
@@ -108,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--netlist", help="netlist file (single output)")
     sp.add_argument("--n", type=int, help="variable count (required with --hex)")
     sp.add_argument("--eps", type=float, required=True)
-    common(sp)
+    common(sp, trials=False)
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("check", help="numeric sweeps of the analytical bounds")
@@ -120,24 +118,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
-        for key, value in loaded.items():
-            if not hasattr(cfg, key):
-                raise ParseError(f"unknown config key '{key}'")
-            setattr(cfg, key, value)
-    for key in ("seed", "trials", "out"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
+    """--config values overridden by the flags given, all checked before any
+    command runs."""
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(values, dict):
+        raise ParseError("config file must hold a JSON object")
+    keys = [f.name for f in fields(RunConfig)]
+    for key in values:
+        if key not in keys:
+            raise ParseError(f"unknown config key '{key}'")
+    values.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
+    cfg = RunConfig(**values)
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
+        raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
     if isinstance(cfg.trials, bool) or not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ParseError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if getattr(args, "max_width", None) is not None:
-        cfg.max_width = args.max_width
-    if getattr(args, "override", None):
-        cfg.overrides = _parse_overrides(args.override)
+    if not isinstance(cfg.out, str):
+        raise ParseError(f"out must be a string, got {cfg.out!r}")
     return cfg
 
 
@@ -187,7 +184,7 @@ def cmd_compile(args, cfg: RunConfig) -> int:
     doc = compiler.recipe_to_json(recipe)
     doc["seed"] = cfg.seed
     doc["trials"] = cfg.trials
-    verify_mod.emit_report(doc, out / "recipe.json", "json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": cfg.seed})
     with (out / "ledger.csv").open("w", newline="") as fh:
         import csv as _csv
         w = _csv.writer(fh)
@@ -205,7 +202,7 @@ def cmd_compile(args, cfg: RunConfig) -> int:
         max_deg = int(degrees.max())
     else:
         max_deg = None  # error table needs the full-table sampler
-    verify_mod.emit_report(rows, out / "errors.csv", "csv", meta={"seed": cfg.seed})
+    verify_mod.emit_report(rows, out / "errors.csv", meta={"seed": cfg.seed})
 
     print(f"compiled: size={recipe.formula_size} depth={recipe.formula_depth} "
           f"degree_bound={recipe.degree_bound} err_bound={recipe.err_bound:.6f} "
@@ -215,12 +212,11 @@ def cmd_compile(args, cfg: RunConfig) -> int:
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    p = synth_mod.plan(args.n, args.d, args.eps, cfg.overrides or None,
-                       width_cap=cfg.max_width)
+    p = synth_mod.plan(args.n, args.d, args.eps, _parse_overrides(args.override))
     out = _outdir(cfg)
     doc = _plan_json(p)
     doc["seed"] = cfg.seed
-    verify_mod.emit_report(doc, out / "plan.json", "json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, out / "plan.json", meta={"seed": cfg.seed})
     if not p.synthesizable:
         print("NOTSYNTH: " + "; ".join(p.synth_blockers()))
         print(f"plan written to {out / 'plan.json'} (analysis only)")
@@ -236,7 +232,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         "sigma": obs.sigma, "band_lo": obs.band_lo,
         "band_hi": obs.band_hi, "pass": obs.within_3_sigma,
     } for w, observations in zip(weights, checks) for obs in observations]
-    verify_mod.emit_report(band_rows, out / "bands.csv", "csv", meta={"seed": cfg.seed})
+    verify_mod.emit_report(band_rows, out / "bands.csv", meta={"seed": cfg.seed})
     print(f"synthesized: depth={result.dag.depth} gates={result.dag.size} "
           f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
     return EXIT_OK
@@ -290,7 +286,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         "ci_hi": report.ci_hi, "trials": report.trials,
         "seed": cfg.seed, "passed": report.passed,
     }
-    verify_mod.emit_report(doc, out / "certification.json", "json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, out / "certification.json", meta={"seed": cfg.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
           f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={cfg.seed}")
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -312,7 +308,7 @@ def cmd_degree(args, cfg: RunConfig) -> int:
         "exhausted": cert.exhausted, "scanned": list(cert.scanned),
         "seed": cfg.seed,
     }
-    verify_mod.emit_report(doc, out / "degree.json", "json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, out / "degree.json", meta={"seed": cfg.seed})
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
           f"witness={gf2poly.format_poly(cert.witness)}")
     return EXIT_OK
@@ -330,8 +326,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
         summary = _check_lemma(grid, cfg)
     out = _outdir(cfg)
     summary["seed"] = cfg.seed
-    verify_mod.emit_report(summary, out / f"check_{args.kind}.json", "json",
-                           meta={"seed": cfg.seed})
+    verify_mod.emit_report(summary, out / f"check_{args.kind}.json", meta={"seed": cfg.seed})
     ok = summary["violations"] == 0
     print(f"{args.kind}: checked={summary['checked']} violations={summary['violations']}"
           + (f" hypothesis_skips={summary['hypothesis_skips']}" if "hypothesis_skips" in summary else "")

@@ -194,8 +194,6 @@ class CompiledRecipe:
     n: int
     formula_size: int
     formula_depth: int
-    c1: float
-    c2: float
 
     @property
     def degree_bound(self) -> int:
@@ -207,7 +205,7 @@ class CompiledRecipe:
 
     @property
     def theoretical_bound(self) -> float:
-        return theoretical_degree(self.formula_size, max(self.formula_depth - 1, 0), self.c2)
+        return theoretical_degree(self.formula_size, max(self.formula_depth - 1, 0))
 
     def ledger(self) -> list[LedgerEntry]:
         """One row per node.  `eps` is the budget charged at that node: a
@@ -250,8 +248,6 @@ def compile_formula(f: FormulaNode) -> CompiledRecipe:
         n=f.n_vars,
         formula_size=f.size,
         formula_depth=f.depth,
-        c1=C1,
-        c2=C2,
     )
 
 
@@ -541,8 +537,8 @@ def recipe_to_json(recipe: CompiledRecipe) -> dict:
         "formula_depth": recipe.formula_depth,
         "degree_bound": recipe.degree_bound,
         "err_bound": recipe.err_bound,
-        "c1": recipe.c1,
-        "c2": recipe.c2,
+        "c1": C1,
+        "c2": C2,
         "theoretical_degree_bound": recipe.theoretical_bound,
         "root": _node_to_json(recipe.root),
     }

@@ -38,7 +38,7 @@ from .gf2poly import _as_mask
 from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
-DEFAULT_WIDTH_CAP = 10**7
+WIDTH_CAP = 10**7
 
 
 class ResampleExhausted(ApxMajError):
@@ -113,7 +113,6 @@ class SynthPlan:
     levels: tuple[LevelSpec, ...]
     side_conditions: dict[str, bool]
     side_values: dict[str, float]
-    width_cap: int
     eps0: float = EPS0
 
     @property
@@ -132,9 +131,9 @@ class SynthPlan:
         out = []
         for spec in self.levels:
             if spec.width is None:
-                out.append(f"{spec.describe()}: width exceeds cap {self.width_cap}")
+                out.append(f"{spec.describe()}: width exceeds cap {WIDTH_CAP}")
             if spec.fan_in is None:
-                out.append(f"{spec.describe()}: fan-in exceeds cap {self.width_cap}")
+                out.append(f"{spec.describe()}: fan-in exceeds cap {WIDTH_CAP}")
         return out
 
     def bands(self) -> BiasBands:
@@ -150,12 +149,11 @@ _OVERRIDE_LOWER = {"A": (1, False), "M": (1, False), "M_top": (1, False),
 def _finite(value) -> bool:
     try:
         return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
+    except (OverflowError, TypeError):  # an int beyond the float range, or not a number
         return False
 
 
-def plan(n: int, d: int, eps: float, overrides: dict | None = None,
-         width_cap: int = DEFAULT_WIDTH_CAP) -> SynthPlan:
+def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan:
     """Parameter sheet for the construction; overrides switch to desk mode.
 
     Recognized override keys: A, M, logM, M_top, logM_top, s_top.  Each
@@ -216,14 +214,15 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
     log_t_final = s_top
 
     def materialize(log_v: float) -> int | None:
-        if log_v > math.log(width_cap):
+        if log_v > math.log(WIDTH_CAP):
             return None
-        return max(1, math.ceil(math.exp(log_v) - 1e-9))
+        # exp(log(v)) overshoots an integer v (an M override) by a few ulps
+        return max(1, math.ceil(math.exp(log_v) * (1 - 1e-12)))
 
     levels: list[LevelSpec] = []
     kind_at = lambda i: GateKind.AND if i % 2 == 1 else GateKind.OR
     levels.append(LevelSpec(1, GateKind.AND, log_m, math.log(a), materialize(log_m),
-                            a if a <= width_cap else None))
+                            a if a <= WIDTH_CAP else None))
     for i in range(2, d - 1):
         levels.append(LevelSpec(i, kind_at(i), log_m, log_t_mid,
                                 materialize(log_m), materialize(log_t_mid)))
@@ -257,7 +256,6 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None,
         gamma=gamma, delta=1 / n**3,  # int division: no float overflow of n^3
         levels=tuple(levels),
         side_conditions=side_conditions, side_values=side_values,
-        width_cap=width_cap,
     )
 
 
@@ -485,14 +483,14 @@ def _log_complement(k: int, z: int, m: int) -> float:
     return math.log1p(-k / m) if k <= z else math.log(z / m)
 
 
-def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float, k: int,
-                          eps0: float = EPS0) -> TechnicalLemmaReport:
+def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float,
+                          k: int) -> TechnicalLemmaReport:
     """Exact (1 - k/M)^t versus the claimed exp(-s)-scale bounds.
 
     t = ceil(e^a * s).  The OR-event bounds apply when the ones-count k falls
     in I0/I1; the dual AND-event bounds use the zeros-count M-k against J1/J0.
     Refined (1 +- s*gamma*exp(-s*gamma)) bounds additionally need
-    s*gamma <= eps0; the refined lower bound also needs s >= 1 (the plain
+    s*gamma <= EPS0; the refined lower bound also needs s >= 1 (the plain
     bounds do not).  Hypothesis failures are reported, never raised.
     """
     if m < 1:
@@ -501,7 +499,7 @@ def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float, k: i
         raise ValueError("ones-count k must be in 0..M")
     hypotheses = {
         "expA_ge_n_cubed": a >= 3.0 * math.log(n),
-        "n_ge_inv_eps0": n >= 1.0 / eps0,
+        "n_ge_inv_eps0": n >= 1.0 / EPS0,
         "s_le_n": s <= n,
         "s_ge_1": s >= 1.0,
         "gamma_in_range": 1.0 / n < gamma < 0.1,
@@ -516,7 +514,7 @@ def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float, k: i
     and_band = "J1" if z <= center * (1 - gamma) else ("J0" if z >= center * (1 + gamma) else None)
 
     sg = s * gamma
-    refined_ok = sg <= eps0
+    refined_ok = sg <= EPS0
     checks: list[BoundCheck] = []
 
     def emit(name, applies, log_lhs, log_rhs, lower: bool):

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import CHUNK_WORDS, CircuitDag, PackedEvaluator, exhaustive_table, random_input_words
+from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluator, exhaustive_table,
+                       random_input_words)
 from .errors import DimensionError, ParseError, ResourceLimitError
 from .gf2poly import (SparsePolyF2, _indices, from_truth_table, majority_words, to_truth_table,
                       valid_words, variable_words)
@@ -30,7 +31,7 @@ from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
 DEGREE_ORACLE_MAX_MONOMIALS = 26
-EXACT_AGREEMENT_MAX_N = 20
+EXACT_AGREEMENT_MAX_N = EXHAUSTIVE_MAX_N
 WILSON_Z99 = 2.5758293035489004
 
 
@@ -64,8 +65,9 @@ class TruthTable:
         return format(self.bits, f"0{width}x")
 
     @classmethod
-    def from_circuit(cls, c: CircuitDag, output: int = 0) -> "TruthTable":
-        return cls(c.n_inputs, exhaustive_table(c.cone(), output, max_n=EXACT_AGREEMENT_MAX_N))
+    def from_circuit(cls, c: CircuitDag) -> "TruthTable":
+        """Table of the circuit's first output."""
+        return cls(c.n_inputs, exhaustive_table(c.cone()))
 
     @classmethod
     def from_poly(cls, p: SparsePolyF2) -> "TruthTable":
@@ -239,9 +241,11 @@ class AgreementReport:
     exact: bool
 
 
-def wilson_interval(k: int, n: int, z: float = WILSON_Z99) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson 99% confidence interval for a proportion of k in n."""
     if n == 0:
         return 0.0, 1.0
+    z = WILSON_Z99
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -286,18 +290,17 @@ def agreement(f, g, mode: str = "exact", trials: int = 100_000,
     return AgreementReport(eq / trials, lo, hi, trials, seed, False)
 
 
-def _mc_disagreements(n: int, evf, evg, trials: int, seed: int,
-                      chunk_words: int = CHUNK_WORDS) -> int:
+def _mc_disagreements(n: int, evf, evg, trials: int, seed: int) -> int:
     """Lanes where two (n, w) -> (w,) word evaluators differ, over `trials`
     uniform inputs.
 
-    Inputs are drawn chunk by chunk (at most `chunk_words` words per
+    Inputs are drawn chunk by chunk (at most CHUNK_WORDS words per
     variable) as they are evaluated, so memory does not grow with `trials`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng_for(seed, "mc-agreement")
-    chunk_lanes = chunk_words * 64
+    chunk_lanes = CHUNK_WORDS * 64
     bad = 0
     for start in range(0, trials, chunk_lanes):
         lanes = min(chunk_lanes, trials - start)
@@ -400,21 +403,21 @@ def triangle_corollary_check(f: TruthTable, p: SparsePolyF2, eps: float) -> Tria
 # ---------------------------------------------------------------------------
 # reports
 
-def emit_report(results, out_path: str | Path, fmt: str = "json",
-                meta: dict | None = None) -> None:
-    """Write results deterministically; run metadata (timestamps etc.) goes to
-    a sidecar `<out>.meta.json` so reruns are byte-identical."""
+def emit_report(results, out_path: str | Path, meta: dict | None = None) -> None:
+    """Write results as JSON or CSV, by the path's suffix (`.json` or `.csv`;
+    any other raises ValueError).  Run metadata (timestamps etc.) goes to a
+    sidecar `<out>.meta.json` so reruns are byte-identical."""
     out_path = Path(out_path)
+    if out_path.suffix not in (".json", ".csv"):
+        raise ValueError(f"report path must end in .json or .csv, got '{out_path}'")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
+    if out_path.suffix == ".json":
         out_path.write_text(json.dumps(results, indent=2, sort_keys=True, default=_json_default) + "\n")
-    elif fmt == "csv":
+    else:
         with out_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             for row in _csv_rows(results):
                 writer.writerow(row)
-    else:
-        raise ValueError(f"unknown format '{fmt}'")
     sidecar = dict(meta or {})
     sidecar["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     sidecar_path = out_path.with_name(out_path.name + ".meta.json")

@@ -67,16 +67,21 @@ def test_parse_netlist_constants_take_no_operands():
     ("input a\ng = NOT a\ng = NOT a\n", "line 3: duplicate definition of 'g'"),
     ("input a\ng = NOT a\na = NOT g\n", "line 3: duplicate definition of 'a'"),
     ("input a\ng = NAND a\n", "line 2, col 5: unknown gate kind 'NAND'"),
-    ("input a\n  g  =  nand a\n", "line 2, col 7: unknown gate kind 'nand'"),
+    ("input a\n  g  =  nand a\n", "line 2, col 9: unknown gate kind 'nand'"),
+    ("input x0\nNA = NA x0\n", "line 2, col 6: unknown gate kind 'NA'"),
     ("input a\ng = INPUT\n", "line 2: INPUT is declared with 'input <name>'"),
     ("input a\ninput b\ng = NOT a b\n", "line 3: NOT takes exactly 1 operand, got 2"),
     ("input a\ng = NOT\n", "line 2: NOT takes exactly 1 operand, got 0"),
     ("input a\nc = CONST1 a\n", "line 2: CONST1 takes no operands, got 1"),
     ("input a\nc = CONST0 a a\n", "line 2: CONST0 takes no operands, got 2"),
-    ("input a\ng = AND a zz\noutput g\n", "undefined gate reference 'zz' (must be declared earlier)"),
-    ("input a\ng = AND a g\noutput g\n", "undefined gate reference 'g' (must be declared earlier)"),
+    ("input a\ng = AND a zz\noutput g\n",
+     "line 2: undefined gate reference 'zz' (must be declared earlier)"),
+    ("input a\ng = AND a g\noutput g\n",
+     "line 2: undefined gate reference 'g' (must be declared earlier)"),
     ("input x0\ng = AND x0 1bad\noutput g\n",
-     "undefined gate reference '1bad' (must be declared earlier)"),
+     "line 2: undefined gate reference '1bad' (must be declared earlier)"),
+    ("input a\n# h reads zz\nh = NOT a\ng = AND h zz\n",
+     "line 4: undefined gate reference 'zz' (must be declared earlier)"),
     ("input a\noutput zz\n", "line 2: undefined output 'zz'"),
     ("input a b\n", "line 1: expected 'input <name>'"),
     ("input a\noutput a b\n", "line 2: expected 'output <name>'"),

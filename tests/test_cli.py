@@ -170,6 +170,49 @@ def test_threads_flag_removed(workdir, capsys):
     assert not (workdir / "d").exists()
 
 
+SUBCOMMAND_ARGV = {
+    "compile": ["compile", "f.sexpr"],
+    "synth": ["synth", "--n", "31", "--d", "3", "--eps", "0.25"],
+    "verify": ["verify", "z.netlist", "--eps", "0.25"],
+    "degree": ["degree", "--hex", "e8", "--n", "3", "--eps", "0.125"],
+    "check": ["check", "inequality"],
+}
+
+
+def _write_inputs(workdir):
+    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
+    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+
+
+@pytest.mark.parametrize("command, flag", [(c, "--max-width") for c in SUBCOMMAND_ARGV]
+                         + [("synth", "--trials"), ("degree", "--trials")])
+def test_removed_flags_rejected(workdir, capsys, command, flag):
+    _write_inputs(workdir)
+    assert run(SUBCOMMAND_ARGV[command] + [flag, "5", "--out", "o"]) == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"apxmaj: error: unrecognized arguments: {flag} 5"]
+    assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"out": 5}, "out must be a string, got 5"),
+    ([1, 2], "config file must hold a JSON object"),
+    ({"max_width": 5}, "unknown config key 'max_width'"),
+    ({"overrides": {"A": 3}}, "unknown config key 'overrides'"),
+], ids=["seed-text", "seed-fraction", "seed-bool", "out-int", "array", "max_width", "overrides"])
+@pytest.mark.parametrize("command", ["compile", "synth"])
+def test_bad_config_exits_2_with_one_line(workdir, capsys, command, config, message):
+    _write_inputs(workdir)
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    before = sorted(workdir.iterdir())
+    assert run(["--config", "cfg.json"] + SUBCOMMAND_ARGV[command]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_degree_examples_and_cap(workdir):
     assert run(["degree", "--hex", "e8", "--n", "3", "--eps", "0.125", "--out", "d"]) == EXIT_OK
     doc = json.loads((workdir / "d/degree.json").read_text())

@@ -51,8 +51,20 @@ def test_plan_override_values_give_plan_or_value_error(d, overrides):
     except ValueError:
         return
     for spec in p.levels:
-        assert spec.width is None or 1 <= spec.width <= p.width_cap
-        assert spec.fan_in is None or 1 <= spec.fan_in <= p.width_cap
+        assert spec.width is None or 1 <= spec.width <= S.WIDTH_CAP
+        assert spec.fan_in is None or 1 <= spec.fan_in <= S.WIDTH_CAP
+
+
+@pytest.mark.parametrize("overrides, key", [({"A": "3"}, "A"), ({"M": None}, "M")])
+def test_plan_non_number_override_is_value_error(overrides, key):
+    with pytest.raises(ValueError, match=f"override {key} must be finite"):
+        S.plan(101, 3, 0.25, overrides)
+
+
+@pytest.mark.parametrize("m", [1, 16384, 1_234_567, 9_999_999, 10**7])
+def test_plan_integer_width_override_is_exact(m):
+    assert S.plan(101, 2, 0.25, {"M": m}).levels[0].width == m
+    assert S.plan(101, 2, 0.25, {"M": 10**7 + 1}).levels[0].width is None
 
 
 def test_gamma_recurrence_examples():

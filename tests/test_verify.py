@@ -307,11 +307,11 @@ def test_triangle_random_never_violated(rng):
 # -------------------------------------------------------------------- reports
 
 def test_emit_report_empty_and_csv(tmp_path):
-    V.emit_report([], tmp_path / "empty.csv", "csv")
+    V.emit_report([], tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == ""
     rows = [{"n": n, "epsilon": 0.125, "degree": d}
             for n, d in V.smolensky_table([1, 3], 0.125)]
-    V.emit_report(rows, tmp_path / "degrees.csv", "csv")
+    V.emit_report(rows, tmp_path / "degrees.csv")
     lines = (tmp_path / "degrees.csv").read_text().splitlines()
     assert lines[0] == "n,epsilon,degree"
     assert len(lines) == 3
@@ -322,10 +322,16 @@ def test_emit_report_agreement_json(tmp_path):
                       trials=1000, seed=7)
     doc = {"estimate": rep.estimate, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi,
            "trials": rep.trials, "seed": rep.seed}
-    V.emit_report(doc, tmp_path / "agree.json", "json", meta={"seed": 7})
+    V.emit_report(doc, tmp_path / "agree.json", meta={"seed": 7})
     loaded = json.loads((tmp_path / "agree.json").read_text())
     assert set(loaded) == {"estimate", "ci_lo", "ci_hi", "trials", "seed"}
     assert (tmp_path / "agree.json.meta.json").exists()
+
+
+def test_emit_report_format_comes_from_suffix(tmp_path):
+    with pytest.raises(ValueError, match="must end in .json or .csv"):
+        V.emit_report({"a": 1}, tmp_path / "x.txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wilson_interval_basic():
