@@ -40,7 +40,6 @@ from .synthesis import (
 from .verify import (
     DegreeCertificate,
     TruthTable,
-    agreement,
     certify_approx_majority,
     emit_report,
     min_approx_degree,

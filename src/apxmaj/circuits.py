@@ -11,8 +11,8 @@ Two representations are used throughout the package:
 Evaluation has a scalar reference, `eval_circuit`, and one word evaluator,
 :class:`PackedEvaluator`, which batches gates level by level into numpy index
 matrices and evaluates 64 assignments per uint64 word.  `pack_lanes` packs
-assignments into its input words; `exhaustive_table` runs it on the
-enumeration words of every assignment.
+assignments into its input words; `enumeration_words` yields those of every
+assignment, for `exhaustive_table` and exact certification.
 
 `CircuitDag.cone` drops the gates that reach no output (dead-gate
 elimination, the "sweep" of logic synthesis).  Certification and exact
@@ -429,7 +429,7 @@ def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
 def exhaustive_table(c: CircuitDag, output: int = 0) -> int:
     """Truth table of one output as an integer (bit j = value at assignment j,
     where bit i of j is the value of x_i).  Runs :class:`PackedEvaluator` on
-    the enumeration words of `variable_words`, CHUNK_WORDS words at a time."""
+    `enumeration_words`."""
     n = c.n_inputs
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(f"exhaustive evaluation capped at n <= {EXHAUSTIVE_MAX_N}, got {n}")
@@ -437,10 +437,16 @@ def exhaustive_table(c: CircuitDag, output: int = 0) -> int:
         raise IndexError(f"circuit has {len(c.outputs)} outputs")
     row = c.outputs[output]
     evaluator = PackedEvaluator(c)
-    inputs = variable_words(n)
-    table = np.concatenate([evaluator.run(inputs[:, s : s + CHUNK_WORDS])[row]
-                            for s in range(0, inputs.shape[1], CHUNK_WORDS)])
+    table = np.concatenate([evaluator.run(words)[row] for words in enumeration_words(n)])
     return int.from_bytes((table & valid_words(n)).astype("<u8").tobytes(), "little")
+
+
+def enumeration_words(n: int):
+    """Input words of all 2^n assignments (lane j holds assignment j),
+    CHUNK_WORDS words at a time; below 64 assignments the tail lanes are 0."""
+    inputs = variable_words(n)
+    for s in range(0, inputs.shape[1], CHUNK_WORDS):
+        yield inputs[:, s : s + CHUNK_WORDS]
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +560,14 @@ class PackedEvaluator:
         return v[np.asarray(self.circuit.outputs, dtype=np.int64)]
 
 
-def random_input_words(n_vars: int, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """(n_vars, ceil(n_samples/64)) uint64 of uniform bits; returns (words, n_words).
-
-    Lanes beyond n_samples in the last word are zeroed.
-    """
+def random_input_words(n_vars: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_vars, ceil(n_samples/64)) uint64 of uniform bits; lanes beyond
+    n_samples in the last word are zeroed."""
     n_words = (n_samples + WORD_BITS - 1) // WORD_BITS
     words = rng.integers(0, 1 << 63, size=(n_vars, n_words), dtype=np.uint64)
     words |= rng.integers(0, 2, size=(n_vars, n_words), dtype=np.uint64) << np.uint64(63)
     tail = n_samples - (n_words - 1) * WORD_BITS
     if tail < WORD_BITS:
         words[:, -1] &= np.uint64((1 << tail) - 1)
-    return words, n_words
+    return words
 

@@ -185,10 +185,8 @@ def cmd_compile(args, cfg: RunConfig) -> int:
     doc["seed"] = cfg.seed
     doc["trials"] = cfg.trials
     verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": cfg.seed})
-    with (out / "ledger.csv").open("w", newline="") as fh:
-        import csv as _csv
-        w = _csv.writer(fh)
-        w.writerows(compiler.ledger_csv_rows(recipe))
+    verify_mod.emit_report(compiler.ledger_csv_rows(recipe), out / "ledger.csv",
+                           meta={"seed": cfg.seed})
 
     rows = []
     if recipe.n <= 16:
@@ -274,11 +272,7 @@ def _single_output_netlist(path: str):
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     dag = _single_output_netlist(args.netlist)
-    if args.mode == "mc":
-        report = verify_mod.certify_approx_majority(
-            dag, args.eps, "mc", trials=cfg.trials, seed=cfg.seed)
-    else:
-        report = verify_mod.certify_approx_majority(dag, args.eps, "exact")
+    report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, cfg.trials, cfg.seed)
     out = _outdir(cfg)
     doc = {
         "n": report.n, "eps": report.eps, "mode": report.mode,
@@ -315,7 +309,7 @@ def cmd_degree(args, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    grid = json.loads(Path(args.grid).read_text()) if args.grid else None
+    grid = _read_grid(args.grid, args.kind)
     if args.kind == "inequality":
         summary = _check_inequality(grid)
     elif args.kind == "gamma":
@@ -334,15 +328,53 @@ def cmd_check(args, cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _frange(values, default):
-    return [float(v) for v in (values if values is not None else default)]
+# --grid keys of each check kind and the type of their values: i_max is one
+# integer, every other key a list of numbers, or of lemma tuples
+GRID_KEYS = {"inequality": {"a": float, "b": float, "d": int},
+             "gamma": {"A": int, "gamma0": float, "i_max": int},
+             "tails": {"n": int, "eps": float},
+             "lemma": {"tuples": {"A": float, "s": float, "M": int, "n": int, "gamma": float,
+                                  "k": int}}}
 
 
-def _check_inequality(grid) -> dict:
-    grid = grid or {}
-    avals = _frange(grid.get("a"), [v / 2 for v in range(0, 129)])
-    bvals = _frange(grid.get("b"), [v / 2 for v in range(0, 129)])
-    dvals = [int(v) for v in grid.get("d", range(1, 9))]
+def _read_grid(path: str | None, kind: str) -> dict:
+    """The --grid file of a check kind, checked before the sweep runs."""
+    grid = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(grid, dict):
+        raise ParseError("grid file must hold a JSON object")
+    for key, values in grid.items():
+        want = GRID_KEYS[kind].get(key)
+        if want is None:
+            raise ParseError(f"unknown {kind} grid key '{key}' "
+                             f"(expected one of {', '.join(GRID_KEYS[kind])})")
+        if key == "i_max":
+            _check_grid_number(key, values, want)
+            continue
+        if not isinstance(values, list):
+            raise ParseError(f"grid key '{key}' must be a list, got {values!r}")
+        for v in values:
+            if not isinstance(want, dict):
+                _check_grid_number(key, v, want)
+            elif isinstance(v, dict) and set(v) == set(want):
+                for k, t in want.items():
+                    _check_grid_number(k, v[k], t)
+            else:
+                raise ParseError(f"each lemma tuple needs exactly the keys {', '.join(want)}")
+    return grid
+
+
+def _check_grid_number(key: str, v, want: type) -> None:
+    """An int (not a bool) or, for float keys, a number; finite as a float, not NaN."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float) if want is float else int)
+            or not abs(v) <= sys.float_info.max):
+        raise ParseError(f"grid key '{key}' takes {'numbers' if want is float else 'integers'} "
+                         f"that fit a float, got {v!r}")
+
+
+def _check_inequality(grid: dict) -> dict:
+    avals = [float(v) for v in grid.get("a", [v / 2 for v in range(0, 129)])]
+    bvals = [float(v) for v in grid.get("b", [v / 2 for v in range(0, 129)])]
+    dvals = grid.get("d", range(1, 9))
     checked = violations = 0
     first = None
     for d in dvals:
@@ -356,11 +388,10 @@ def _check_inequality(grid) -> dict:
     return {"checked": checked, "violations": violations, "first_violation": first}
 
 
-def _check_gamma(grid) -> dict:
-    grid = grid or {}
-    avals = [int(v) for v in grid.get("A", range(2, 33))]
-    g0vals = _frange(grid.get("gamma0"), np.geomspace(1e-4, 1e-1, 13))
-    imax = int(grid.get("i_max", 8))
+def _check_gamma(grid: dict) -> dict:
+    avals = grid.get("A", range(2, 33))
+    g0vals = [float(v) for v in grid.get("gamma0", np.geomspace(1e-4, 1e-1, 13))]
+    imax = grid.get("i_max", 8)
     checked = violations = 0
     first = None
     for a in avals:
@@ -376,10 +407,9 @@ def _check_gamma(grid) -> dict:
     return {"checked": checked, "violations": violations, "first_violation": first}
 
 
-def _check_tails(grid) -> dict:
-    grid = grid or {}
-    ns = [int(v) for v in grid.get("n", range(51, 502, 50))]
-    epss = _frange(grid.get("eps"), [0.05, 0.1, 0.25])
+def _check_tails(grid: dict) -> dict:
+    ns = grid.get("n", range(51, 502, 50))
+    epss = [float(v) for v in grid.get("eps", [0.05, 0.1, 0.25])]
     checked = violations = 0
     first = None
     rows = []
@@ -395,10 +425,10 @@ def _check_tails(grid) -> dict:
             "rows": rows}
 
 
-def _check_lemma(grid, cfg: RunConfig) -> dict:
+def _check_lemma(grid: dict, cfg: RunConfig) -> dict:
     checked = violations = skips = 0
     first = None
-    if grid and "tuples" in grid:
+    if "tuples" in grid:
         tuples = [(t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"]]
     else:
         tuples = list(_lemma_tuples(cfg.trials, cfg.seed))

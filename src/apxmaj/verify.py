@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluator, exhaustive_table,
-                       random_input_words)
+from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluator, enumeration_words,
+                       exhaustive_table, random_input_words)
 from .errors import DimensionError, ParseError, ResourceLimitError
 from .gf2poly import (SparsePolyF2, _indices, from_truth_table, majority_words, to_truth_table,
                       valid_words, variable_words)
@@ -31,7 +31,6 @@ from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
 DEGREE_ORACLE_MAX_MONOMIALS = 26
-EXACT_AGREEMENT_MAX_N = EXHAUSTIVE_MAX_N
 WILSON_Z99 = 2.5758293035489004
 
 
@@ -83,8 +82,8 @@ class TruthTable:
 
 
 def majority_truth_table(n: int) -> TruthTable:
-    if n > EXACT_AGREEMENT_MAX_N:
-        raise ResourceLimitError(f"majority table capped at n <= {EXACT_AGREEMENT_MAX_N}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise ResourceLimitError(f"majority table capped at n <= {EXHAUSTIVE_MAX_N}")
     words = majority_words(variable_words(n), valid_words(n))
     return TruthTable(n, int.from_bytes(words.astype("<u8").tobytes(), "little"))
 
@@ -110,6 +109,16 @@ def degree_basis(n: int, degree: int) -> list[int]:
     return sorted(monos, key=lambda m: (m.bit_count(), _indices(m)))
 
 
+def _capped_basis(n: int, degree: int) -> list[int]:
+    """`degree_basis`, refused above DEGREE_ORACLE_MAX_MONOMIALS monomials."""
+    basis = degree_basis(n, degree)
+    if len(basis) > DEGREE_ORACLE_MAX_MONOMIALS:
+        raise ResourceLimitError(
+            f"{len(basis)} monomials of degree <= {degree} exceeds cap "
+            f"{DEGREE_ORACLE_MAX_MONOMIALS}")
+    return basis
+
+
 def monomial_table(n: int, mask: int) -> int:
     idx = np.arange(1 << n, dtype=np.uint32)
     bits = ((idx & mask) == mask).astype(np.uint8)
@@ -120,12 +129,7 @@ def span_tables(n: int, degree: int) -> np.ndarray:
     """All truth tables (as uint32) spanned by monomials of degree <= degree."""
     if n > DEGREE_ORACLE_MAX_N:
         raise ResourceLimitError(f"span enumeration capped at n <= {DEGREE_ORACLE_MAX_N}")
-    basis = degree_basis(n, degree)
-    if len(basis) > DEGREE_ORACLE_MAX_MONOMIALS:
-        raise ResourceLimitError(
-            f"{len(basis)} monomials of degree <= {degree} exceeds cap "
-            f"{DEGREE_ORACLE_MAX_MONOMIALS}")
-    return _span(n, basis)
+    return _span(n, _capped_basis(n, degree))
 
 
 def _span(n: int, masks: Sequence[int]) -> np.ndarray:
@@ -159,11 +163,7 @@ def min_approx_degree(f: TruthTable, eps: float) -> DegreeCertificate:
     for d in range(n + 1):
         if eps == 0 and anf.degree == d:
             return DegreeCertificate(n, eps, d, anf, 0, allowed, True, tuple(scanned))
-        basis = degree_basis(n, d)
-        if len(basis) > DEGREE_ORACLE_MAX_MONOMIALS:
-            raise ResourceLimitError(
-                f"{len(basis)} monomials of degree <= {d} exceeds cap "
-                f"{DEGREE_ORACLE_MAX_MONOMIALS}")
+        basis = _capped_basis(n, d)
         if ball < 1 << len(basis):
             hit = _ball_level(n, basis, anf, allowed)
         else:
@@ -229,17 +229,7 @@ def smolensky_table(ns: Sequence[int], eps: float) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# agreement / certification
-
-@dataclass(frozen=True)
-class AgreementReport:
-    estimate: float        # fraction of inputs where f == g
-    ci_lo: float
-    ci_hi: float
-    trials: int
-    seed: int | None
-    exact: bool
-
+# certification
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson 99% confidence interval for a proportion of k in n."""
@@ -251,88 +241,6 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _as_table_or_circuit(f) -> tuple[TruthTable | None, CircuitDag | None]:
-    if isinstance(f, TruthTable):
-        return f, None
-    if isinstance(f, CircuitDag):
-        return None, f
-    raise TypeError(f"expected TruthTable or CircuitDag, got {type(f)}")
-
-
-def _n_of(f) -> int:
-    return f.n if isinstance(f, TruthTable) else f.n_inputs
-
-
-def agreement(f, g, mode: str = "exact", trials: int = 100_000,
-              seed: int | None = None) -> AgreementReport:
-    """Pr_x[f(x) = g(x)], exactly (n <= 20) or by Monte Carlo with a Wilson
-    99% confidence interval."""
-    n = _n_of(f)
-    if _n_of(g) != n:
-        raise DimensionError("operands over different variable counts")
-    if mode == "exact":
-        if n > EXACT_AGREEMENT_MAX_N:
-            raise ResourceLimitError(f"exact agreement capped at n <= {EXACT_AGREEMENT_MAX_N}")
-        tf = f if isinstance(f, TruthTable) else TruthTable.from_circuit(f)
-        tg = g if isinstance(g, TruthTable) else TruthTable.from_circuit(g)
-        eq = (1 << n) - tf.distance(tg)
-        est = eq / (1 << n)
-        return AgreementReport(est, est, est, 1 << n, None, True)
-    if mode != "mc":
-        raise ValueError(f"unknown mode '{mode}'")
-    if seed is None:
-        raise ValueError("mc mode needs a seed")
-    eq = trials - _mc_disagreements(n, _make_word_evaluator(f), _make_word_evaluator(g),
-                                    trials, seed)
-    lo, hi = wilson_interval(eq, trials)
-    return AgreementReport(eq / trials, lo, hi, trials, seed, False)
-
-
-def _mc_disagreements(n: int, evf, evg, trials: int, seed: int) -> int:
-    """Lanes where two (n, w) -> (w,) word evaluators differ, over `trials`
-    uniform inputs.
-
-    Inputs are drawn chunk by chunk (at most CHUNK_WORDS words per
-    variable) as they are evaluated, so memory does not grow with `trials`.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = rng_for(seed, "mc-agreement")
-    chunk_lanes = CHUNK_WORDS * 64
-    bad = 0
-    for start in range(0, trials, chunk_lanes):
-        lanes = min(chunk_lanes, trials - start)
-        words, _ = random_input_words(n, lanes, rng)
-        diff = evf(words) ^ evg(words)
-        # padding lanes in the last word would evaluate both sides at 0..0
-        if lanes % 64:
-            diff[-1] &= np.uint64((1 << (lanes % 64)) - 1)
-        bad += int(np.bitwise_count(diff).sum())
-    return bad
-
-
-def _make_word_evaluator(f):
-    """(n, w) uint64 input words -> (w,) uint64 output words."""
-    tab, circ = _as_table_or_circuit(f)
-    if circ is not None:
-        pe = PackedEvaluator(circ.cone())
-        return lambda words: pe.outputs(words)[0]
-    n = tab.n
-    bits = np.unpackbits(
-        np.frombuffer(tab.bits.to_bytes(max(1, (1 << n) // 8), "little"), dtype=np.uint8),
-        bitorder="little", count=1 << n).astype(np.uint64)
-
-    def run(words: np.ndarray) -> np.ndarray:
-        idx = np.zeros(words.shape[1] * 64, dtype=np.uint32)
-        for i in range(n):
-            lanes = np.unpackbits(words[i].view(np.uint8), bitorder="little")
-            idx |= lanes.astype(np.uint32) << i
-        vals = bits[idx]
-        return np.packbits(vals.astype(np.uint8), bitorder="little").view(np.uint64)
-
-    return run
 
 
 @dataclass(frozen=True)
@@ -348,23 +256,37 @@ class CertificationReport:
     passed: bool
 
 
-def certify_approx_majority(c, eps: float, mode: str = "exact",
+def certify_approx_majority(c: CircuitDag, eps: float, mode: str = "exact",
                             trials: int = 100_000, seed: int | None = None) -> CertificationReport:
-    """Pass iff disagreement with MAJ_n is <= eps (exact mode) or the Wilson
-    99% upper bound on disagreement is <= eps (mc mode); eps in [0, 1/2]."""
+    """Pass iff disagreement with MAJ_n is <= eps (exact mode, over all 2^n
+    inputs) or the Wilson 99% upper bound on disagreement is <= eps (mc mode,
+    over `trials` uniform inputs); eps in [0, 1/2].  Both modes count the
+    disagreeing lanes of the circuit's output cone and of `majority_words`."""
     if not 0 <= eps <= 0.5:
         raise ValueError(f"eps must be in [0, 1/2], got {eps}")
-    n = _n_of(c)
+    n = c.n_inputs
     if mode == "exact":
-        if n > EXACT_AGREEMENT_MAX_N:
-            raise ResourceLimitError(f"exact mode capped at n <= {EXACT_AGREEMENT_MAX_N} "
+        if n > EXHAUSTIVE_MAX_N:
+            raise ResourceLimitError(f"exact mode capped at n <= {EXHAUSTIVE_MAX_N} "
                                      f"(circuit has {n}); use --mode mc")
-        rep = agreement(c, majority_truth_table(n), "exact")
-        dis = 1.0 - rep.estimate
-        return CertificationReport(n, eps, mode, dis, dis, dis, rep.trials, None, dis <= eps)
-    bad = _mc_disagreements(n, _make_word_evaluator(c),
-                            lambda words: majority_words(words, ~np.uint64(0)), trials, seed)
-    lo, hi = wilson_interval(bad, trials)
+        trials, seed, chunks = 1 << n, None, enumeration_words(n)
+    elif mode == "mc":
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        # drawn chunk by chunk as they are evaluated: memory does not grow with trials
+        rng, chunk_lanes = rng_for(seed, "mc-agreement"), CHUNK_WORDS * 64
+        chunks = (random_input_words(n, min(chunk_lanes, trials - start), rng)
+                  for start in range(0, trials, chunk_lanes))
+    else:
+        raise ValueError(f"unknown mode '{mode}'")
+    evaluator = PackedEvaluator(c.cone())
+    bad = 0
+    for words in chunks:
+        diff = evaluator.outputs(words)[0] ^ majority_words(words, ~np.uint64(0))
+        bad += int(np.bitwise_count(diff).sum())
+    if trials % 64:  # lanes past the last input, in the last word, hold the all-zero input
+        bad -= int(np.bitwise_count(diff[-1] >> np.uint64(trials % 64)))
+    lo, hi = (bad / trials,) * 2 if mode == "exact" else wilson_interval(bad, trials)
     return CertificationReport(n, eps, mode, bad / trials, lo, hi, trials, seed, hi <= eps)
 
 

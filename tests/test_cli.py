@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 from apxmaj import compiler
 from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
-from apxmaj.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from apxmaj.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig, _build_parser, main
 
 from conftest import oracle_table_formula, random_formula
 
@@ -30,6 +32,7 @@ def test_compile_writes_artifacts(workdir):
     assert recipe["seed"] == 3
     ledger = (workdir / "out/ledger.csv").read_text().splitlines()
     assert ledger[0].startswith("node_id,")
+    assert json.loads((workdir / "out/ledger.csv.meta.json").read_text())["seed"] == 3
     errors = (workdir / "out/errors.csv").read_text().splitlines()
     assert errors[0] == "input,empirical_error"
     assert len(errors) == 1 + 4
@@ -262,6 +265,40 @@ def test_check_gamma_reports_a2_violations(workdir):
     assert run(["check", "gamma", "--grid", "g.json", "--out", "k3"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("kind, grid, message", [
+    ("inequality", [1], "grid file must hold a JSON object"),
+    ("lemma", {"tuples": [{"A": 1}]}, "each lemma tuple needs exactly the keys A, s, M, n, gamma, k"),
+    ("gamma", {"A": 5}, "grid key 'A' must be a list, got 5"),
+    ("lemma", {"tuples": 3}, "grid key 'tuples' must be a list, got 3"),
+    ("tails", {"n": [1.5]}, "grid key 'n' takes integers that fit a float, got 1.5"),
+    ("gamma", {"a": [1]}, "unknown gamma grid key 'a' (expected one of A, gamma0, i_max)"),
+    ("inequality", {"d": [True]}, "grid key 'd' takes integers that fit a float, got True"),
+    ("inequality", {"a": ["1"]}, "grid key 'a' takes numbers that fit a float, got '1'"),
+    ("gamma", {"i_max": 2.5}, "grid key 'i_max' takes integers that fit a float, got 2.5"),
+    ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 1e9, "n": 50, "gamma": 0.05, "k": 3}]},
+     "grid key 'M' takes integers that fit a float, got 1000000000.0"),
+    ("tails", {"n": [10**400]}, f"grid key 'n' takes integers that fit a float, got {10**400}"),
+], ids=["array", "lemma-missing-keys", "gamma-scalar", "lemma-scalar", "tails-fraction",
+        "gamma-wrong-key", "inequality-bool", "inequality-text", "gamma-i_max-fraction",
+        "lemma-fraction", "tails-beyond-float"])
+def test_bad_grid_exits_2_with_one_line(workdir, capsys, kind, grid, message):
+    (workdir / "g.json").write_text(json.dumps(grid))
+    assert run(["check", kind, "--grid", "g.json", "--out", "k"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "k").exists()
+
+
+def test_grid_values_of_each_kind_accepted(workdir):
+    grids = {"inequality": {"a": [0, 1.5], "b": [2], "d": [1, 2]},
+             "gamma": {"A": [3], "gamma0": [0.01], "i_max": 4},
+             "tails": {"n": [501], "eps": [0.25]},
+             "lemma": {"tuples": []}}
+    for kind, grid in grids.items():
+        (workdir / "g.json").write_text(json.dumps(grid))
+        assert run(["check", kind, "--grid", "g.json", "--out", "k"]) == EXIT_OK
+    assert json.loads(Path("k/check_inequality.json").read_text())["checked"] == 4
+
+
 def test_config_file_provides_defaults(workdir):
     (workdir / "f.sexpr").write_text("(or x0 x1)\n")
     (workdir / "cfg.json").write_text(json.dumps({"seed": 77, "trials": 128, "out": "cfgout"}))
@@ -295,6 +332,31 @@ def test_bad_input_exits_2_with_one_line(workdir, capsys, text, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Every setting a user can give: a new option needs a caller that wants a
+# value other than the default, and an edit here that names it.
+SETTINGS = {
+    "compile": ["formula", "--seed", "--trials", "--out"],
+    "synth": ["--n", "--d", "--eps", "--override", "--seed", "--out"],
+    "verify": ["netlist", "--eps", "--mode", "--seed", "--trials", "--out"],
+    "degree": ["--hex", "--netlist", "--n", "--eps", "--seed", "--out"],
+    "check": ["kind", "--grid", "--seed", "--trials", "--out"],
+}
+
+
+def _argument_names(parser) -> list[str]:
+    return [a.option_strings[0] if a.option_strings else a.dest
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_settings_surface():
+    parser = _build_parser()
+    assert _argument_names(parser) == ["--config", "command"]
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {cmd: _argument_names(sp) for cmd, sp in subparsers.choices.items()} == SETTINGS
+    assert sum(map(len, SETTINGS.values())) == 27
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "trials", "out"]
 
 
 def test_format_flag_removed(workdir, capsys):

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
 from apxmaj import verify as V
-from apxmaj.circuits import formula_to_dag, parse_formula, parse_netlist
+from apxmaj.circuits import (CircuitDag, Gate, GateKind, formula_to_dag, majority, parse_formula,
+                             parse_netlist)
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
+
+from conftest import oracle_table_dag, random_dag
 
 
 def brute_min_degree(table_bits: int, n: int, eps: float) -> int:
@@ -196,33 +199,49 @@ def test_smolensky_table_nondecreasing():
     assert tbl[2] == (3, 2)
 
 
-# ------------------------------------------------------------------ agreement
+# -------------------------------------------------------------- certification
 
-def test_agreement_examples():
-    maj3 = V.majority_truth_table(3)
-    assert V.agreement(maj3, maj3).estimate == 1.0
-    x0 = V.TruthTable(3, sum(((j >> 0) & 1) << j for j in range(8)))
-    assert V.agreement(maj3, x0).estimate == 6 / 8
-    comp = V.TruthTable(3, maj3.bits ^ 0xFF)
-    assert V.agreement(maj3, comp).estimate == 0.0
+MAJ3_NETLIST = ("input x0\ninput x1\ninput x2\na = AND x0 x1\nb = AND x0 x2\n"
+                "c = AND x1 x2\nm = OR a b c\n")
 
 
-def test_agreement_mc_within_ci_most_runs():
-    # true agreement known exactly at n=12; 99% Wilson CI should cover it
-    # in at least 95 of 100 seeded runs
+def test_certify_exact_examples():
+    # MAJ3 itself, x0 (wrong on 2 of 8 inputs) and NOT MAJ3 (wrong everywhere)
+    for tail, dis in (("output m", 0.0), ("output x0", 2 / 8), ("z = NOT m\noutput z", 1.0)):
+        rep = V.certify_approx_majority(parse_netlist(MAJ3_NETLIST + tail), 0.5, "exact")
+        assert (rep.disagreement, rep.ci_lo, rep.ci_hi, rep.trials) == (dis, dis, dis, 8)
+
+
+def test_certify_mc_within_ci_most_runs():
+    # true disagreement known exactly at n=12; the 99% Wilson CI should
+    # cover it in at least 95 of 100 seeded runs
     f = parse_formula("(xor (and x0 x1 x2) (or x3 x4) (and x5 (not x6)))")
     dag = formula_to_dag(f, 12)
-    exact = V.agreement(dag, V.majority_truth_table(12), "exact").estimate
+    exact = V.certify_approx_majority(dag, 0.5, "exact").disagreement
     covered = 0
     for s in range(100):
-        rep = V.agreement(dag, V.majority_truth_table(12), "mc", trials=4000, seed=s)
+        rep = V.certify_approx_majority(dag, 0.5, "mc", trials=4000, seed=s)
         covered += rep.ci_lo <= exact <= rep.ci_hi
     assert covered >= 95
 
 
-def test_agreement_dimension_guard():
-    with pytest.raises(DimensionError):
-        V.agreement(V.majority_truth_table(3), V.majority_truth_table(4))
+def test_certify_exact_matches_brute_force(rng):
+    # against conftest's scalar oracle and circuits.majority, on random DAGs
+    # with n < 6 (a part-filled word), CONST, NOT and XOR gates and dead gates
+    for n in range(1, 13):
+        for _ in range(4 if n <= 8 else 1):
+            c = random_dag(rng, n, max_gates=10)
+            const = GateKind.CONST1 if rng.integers(2) else GateKind.CONST0
+            out = len(c.gates) + 1
+            gates = c.gates + (Gate(const), Gate(GateKind.XOR, (c.outputs[0], out - 1)),
+                               Gate(GateKind.NOT, (out,)))  # the NOT is dead
+            c = CircuitDag(n, gates, (out,))
+            table = oracle_table_dag(c)
+            bad = sum(table >> j & 1 != majority([j >> i & 1 for i in range(n)])
+                      for j in range(1 << n))
+            rep = V.certify_approx_majority(c, 0.25, "exact")
+            assert (rep.disagreement, rep.trials) == (bad / (1 << n), 1 << n)
+            assert rep.passed == (bad / (1 << n) <= 0.25)
 
 
 def test_certify_examples():
@@ -317,15 +336,15 @@ def test_emit_report_empty_and_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_emit_report_agreement_json(tmp_path):
-    rep = V.agreement(V.majority_truth_table(3), V.TruthTable(3, 0), "mc",
-                      trials=1000, seed=7)
-    doc = {"estimate": rep.estimate, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi,
+def test_emit_report_certification_json(tmp_path):
+    const0 = parse_netlist("input x0\ninput x1\ninput x2\nz = CONST0\noutput z")
+    rep = V.certify_approx_majority(const0, 0.5, "mc", trials=1000, seed=7)
+    doc = {"disagreement": rep.disagreement, "ci_lo": rep.ci_lo, "ci_hi": rep.ci_hi,
            "trials": rep.trials, "seed": rep.seed}
-    V.emit_report(doc, tmp_path / "agree.json", meta={"seed": 7})
-    loaded = json.loads((tmp_path / "agree.json").read_text())
-    assert set(loaded) == {"estimate", "ci_lo", "ci_hi", "trials", "seed"}
-    assert (tmp_path / "agree.json.meta.json").exists()
+    V.emit_report(doc, tmp_path / "cert.json", meta={"seed": 7})
+    loaded = json.loads((tmp_path / "cert.json").read_text())
+    assert loaded == doc
+    assert (tmp_path / "cert.json.meta.json").exists()
 
 
 def test_emit_report_format_comes_from_suffix(tmp_path):
