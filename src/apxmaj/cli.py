@@ -14,6 +14,7 @@ parse error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,6 +33,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# counted work one `check` sweep may take: inequality cases, gamma steps,
+# tail-mass terms; the built-in grids take 133,128, 3,224 and 8,310 of it
+CHECK_WORK_CAP = 10**6
 
 
 @dataclass
@@ -67,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+@functools.cache  # built on the first call to main, not at import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="apxmaj", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -168,19 +174,13 @@ def _parse_overrides(text: str) -> dict:
     return out
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
 
 def cmd_compile(args, cfg: RunConfig) -> int:
     text = Path(args.formula).read_text()
     formula = parse_formula(text)
     recipe = compiler.compile_formula(formula)
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     doc = compiler.recipe_to_json(recipe)
     doc["seed"] = cfg.seed
     doc["trials"] = cfg.trials
@@ -211,7 +211,7 @@ def cmd_compile(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     p = synth_mod.plan(args.n, args.d, args.eps, _parse_overrides(args.override))
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     doc = _plan_json(p)
     doc["seed"] = cfg.seed
     verify_mod.emit_report(doc, out / "plan.json", meta={"seed": cfg.seed})
@@ -273,14 +273,13 @@ def _single_output_netlist(path: str):
 def cmd_verify(args, cfg: RunConfig) -> int:
     dag = _single_output_netlist(args.netlist)
     report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, cfg.trials, cfg.seed)
-    out = _outdir(cfg)
     doc = {
         "n": report.n, "eps": report.eps, "mode": report.mode,
         "disagreement": report.disagreement, "ci_lo": report.ci_lo,
         "ci_hi": report.ci_hi, "trials": report.trials,
         "seed": cfg.seed, "passed": report.passed,
     }
-    verify_mod.emit_report(doc, out / "certification.json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, Path(cfg.out) / "certification.json", meta={"seed": cfg.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
           f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={cfg.seed}")
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -294,7 +293,6 @@ def cmd_degree(args, cfg: RunConfig) -> int:
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps)
-    out = _outdir(cfg)
     doc = {
         "n": cert.n, "eps": cert.eps, "degree": cert.degree,
         "witness": gf2poly.format_poly(cert.witness),
@@ -302,7 +300,7 @@ def cmd_degree(args, cfg: RunConfig) -> int:
         "exhausted": cert.exhausted, "scanned": list(cert.scanned),
         "seed": cfg.seed,
     }
-    verify_mod.emit_report(doc, out / "degree.json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(doc, Path(cfg.out) / "degree.json", meta={"seed": cfg.seed})
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
           f"witness={gf2poly.format_poly(cert.witness)}")
     return EXIT_OK
@@ -310,17 +308,15 @@ def cmd_degree(args, cfg: RunConfig) -> int:
 
 def cmd_check(args, cfg: RunConfig) -> int:
     grid = _read_grid(args.grid, args.kind)
-    if args.kind == "inequality":
-        summary = _check_inequality(grid)
-    elif args.kind == "gamma":
-        summary = _check_gamma(grid)
-    elif args.kind == "tails":
-        summary = _check_tails(grid)
-    else:
-        summary = _check_lemma(grid, cfg)
-    out = _outdir(cfg)
+    sweeps = {"inequality": _check_inequality, "gamma": _check_gamma, "tails": _check_tails,
+              "lemma": functools.partial(_check_lemma, cfg=cfg)}
+    try:
+        summary = sweeps[args.kind](grid)
+    except OverflowError as e:
+        raise ParseError(f"{args.kind} grid values overflow a float ({e})") from None
     summary["seed"] = cfg.seed
-    verify_mod.emit_report(summary, out / f"check_{args.kind}.json", meta={"seed": cfg.seed})
+    verify_mod.emit_report(summary, Path(cfg.out) / f"check_{args.kind}.json",
+                           meta={"seed": cfg.seed})
     ok = summary["violations"] == 0
     print(f"{args.kind}: checked={summary['checked']} violations={summary['violations']}"
           + (f" hypothesis_skips={summary['hypothesis_skips']}" if "hypothesis_skips" in summary else "")
@@ -371,78 +367,91 @@ def _check_grid_number(key: str, v, want: type) -> None:
                          f"that fit a float, got {v!r}")
 
 
-def _check_inequality(grid: dict) -> dict:
-    avals = [float(v) for v in grid.get("a", [v / 2 for v in range(0, 129)])]
-    bvals = [float(v) for v in grid.get("b", [v / 2 for v in range(0, 129)])]
-    dvals = grid.get("d", range(1, 9))
+def _summary(chunks) -> dict:
+    """Counts and first violation of a sweep, read chunk by chunk in sweep order:
+    each chunk is (holds, describe), the verdicts of its cases and a function
+    giving the report of its j-th case, called before the next chunk is read."""
     checked = violations = 0
     first = None
-    for d in dvals:
-        for a in avals:
-            for b in bvals:
-                holds, gap = compiler.check_key_inequality(a, b, d)
-                checked += 1
-                if not holds:
-                    violations += 1
-                    first = first or {"a": a, "b": b, "d": d, "gap": gap}
+    for holds, describe in chunks:
+        holds = np.asarray(holds, dtype=bool)
+        checked += holds.size
+        if not holds.all():
+            violations += holds.size - int(np.count_nonzero(holds))
+            if first is None:
+                first = describe(int(np.argmin(holds)))
     return {"checked": checked, "violations": violations, "first_violation": first}
+
+
+def _cap_work(kind: str, work: int) -> None:
+    if work > CHECK_WORK_CAP:
+        raise ResourceLimitError(f"check {kind} grid needs {work} evaluations, "
+                                 f"over the cap of {CHECK_WORK_CAP}")
+
+
+def _finite(values) -> None:
+    """Raise OverflowError unless every number in `values` (array-like) is finite."""
+    if not np.isfinite(values).all():
+        raise OverflowError("a result is not finite")
+
+
+def _check_inequality(grid: dict) -> dict:
+    avals = [float(v) for v in grid.get("a", [v / 2 for v in range(0, 129)])]
+    b = np.array([float(v) for v in grid.get("b", [v / 2 for v in range(0, 129)])])
+    dvals = grid.get("d", range(1, 9))
+    _cap_work("inequality", len(avals) * b.size * len(dvals))
+
+    def rows():  # one (d, a) row over every b, with the float operations of scalar calls
+        for d in dvals:
+            for a in avals:
+                holds, gap = compiler.check_key_inequality(a, b, d)
+                _finite(gap)  # an unused square in _powi may overflow; the gap may not
+                yield holds, lambda j: {"a": a, "b": float(b[j]), "d": d, "gap": float(gap[j])}
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _summary(rows())
 
 
 def _check_gamma(grid: dict) -> dict:
     avals = grid.get("A", range(2, 33))
     g0vals = [float(v) for v in grid.get("gamma0", np.geomspace(1e-4, 1e-1, 13))]
     imax = grid.get("i_max", 8)
-    checked = violations = 0
-    first = None
-    for a in avals:
-        for g0 in g0vals:
-            gs = synth_mod.gamma_sequence(a, g0, imax)
-            for i in range(1, imax + 1):
-                lo, hi = synth_mod.gamma_envelope(a, g0, i)
-                checked += 1
-                if not lo <= gs[i] <= hi:
-                    violations += 1
-                    first = first or {"A": a, "gamma0": g0, "i": i,
-                                      "gamma_i": gs[i], "lo": lo, "hi": hi}
-    return {"checked": checked, "violations": violations, "first_violation": first}
+    _cap_work("gamma", len(avals) * len(g0vals) * imax)
+
+    def rows():  # one A: (gamma0, i, gamma_i, lo, hi) for every gamma0 and i
+        for a in avals:
+            cases = [(g0, i, g, *synth_mod.gamma_envelope(a, g0, i)) for g0 in g0vals
+                     for i, g in enumerate(synth_mod.gamma_sequence(a, g0, imax)[1:], 1)]
+            _finite(cases)
+            yield ([lo <= g <= hi for _, _, g, lo, hi in cases],
+                   lambda j: dict(zip(("A", "gamma0", "i", "gamma_i", "lo", "hi"), (a, *cases[j]))))
+    return _summary(rows())
 
 
 def _check_tails(grid: dict) -> dict:
     ns = grid.get("n", range(51, 502, 50))
     epss = [float(v) for v in grid.get("eps", [0.05, 0.1, 0.25])]
-    checked = violations = 0
-    first = None
-    rows = []
-    for n in ns:
-        for eps in epss:
-            mass = synth_mod.tail_mass(n, eps)
-            rows.append({"n": n, "eps": eps, "mass": mass, "bound": 2 * eps})
-            checked += 1
-            if mass > 2 * eps:
-                violations += 1
-                first = first or {"n": n, "eps": eps, "mass": mass, "bound": 2 * eps}
-    return {"checked": checked, "violations": violations, "first_violation": first,
-            "rows": rows}
+    _cap_work("tails", sum(abs(n) + 1 for n in ns) * len(epss))
+    rows = [{"n": n, "eps": eps, "mass": synth_mod.tail_mass(n, eps), "bound": 2 * eps}
+            for n in ns for eps in epss]
+    _finite([(r["mass"], r["bound"]) for r in rows])
+    summary = _summary([([r["mass"] <= r["bound"] for r in rows], rows.__getitem__)])
+    summary["rows"] = rows
+    return summary
 
 
 def _check_lemma(grid: dict, cfg: RunConfig) -> dict:
-    checked = violations = skips = 0
-    first = None
+    """Tuples that fail the lemma's hypotheses are skipped, not checked."""
     if "tuples" in grid:
-        tuples = [(t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"]]
+        count = len(grid["tuples"])
+        tuples = ((t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"])
     else:
-        tuples = list(_lemma_tuples(cfg.trials, cfg.seed))
-    for a, s, m, n, gamma, k in tuples:
-        rep = synth_mod.check_technical_lemma(a, s, m, n, gamma, k)
-        if not rep.hypotheses_ok:
-            skips += 1
-            continue
-        checked += 1
-        if not rep.ok:
-            violations += 1
-            first = first or {"A": a, "s": s, "M": m, "n": n, "gamma": gamma, "k": k}
-    return {"checked": checked, "violations": violations,
-            "hypothesis_skips": skips, "first_violation": first}
+        count, tuples = cfg.trials, _lemma_tuples(cfg.trials, cfg.seed)
+    reports = (synth_mod.check_technical_lemma(*t) for t in tuples)
+    summary = _summary(([r.ok] if r.hypotheses_ok else [],
+                        lambda j: {"A": r.a, "s": r.s, "M": r.m, "n": r.n, "gamma": r.gamma, "k": r.k})
+                       for r in reports)
+    summary["hypothesis_skips"] = count - summary["checked"]
+    return summary
 
 
 def _lemma_tuples(count: int, seed: int):

@@ -109,27 +109,10 @@ def degree_basis(n: int, degree: int) -> list[int]:
     return sorted(monos, key=lambda m: (m.bit_count(), _indices(m)))
 
 
-def _capped_basis(n: int, degree: int) -> list[int]:
-    """`degree_basis`, refused above DEGREE_ORACLE_MAX_MONOMIALS monomials."""
-    basis = degree_basis(n, degree)
-    if len(basis) > DEGREE_ORACLE_MAX_MONOMIALS:
-        raise ResourceLimitError(
-            f"{len(basis)} monomials of degree <= {degree} exceeds cap "
-            f"{DEGREE_ORACLE_MAX_MONOMIALS}")
-    return basis
-
-
 def monomial_table(n: int, mask: int) -> int:
     idx = np.arange(1 << n, dtype=np.uint32)
     bits = ((idx & mask) == mask).astype(np.uint8)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def span_tables(n: int, degree: int) -> np.ndarray:
-    """All truth tables (as uint32) spanned by monomials of degree <= degree."""
-    if n > DEGREE_ORACLE_MAX_N:
-        raise ResourceLimitError(f"span enumeration capped at n <= {DEGREE_ORACLE_MAX_N}")
-    return _span(n, _capped_basis(n, degree))
 
 
 def _span(n: int, masks: Sequence[int]) -> np.ndarray:
@@ -163,7 +146,10 @@ def min_approx_degree(f: TruthTable, eps: float) -> DegreeCertificate:
     for d in range(n + 1):
         if eps == 0 and anf.degree == d:
             return DegreeCertificate(n, eps, d, anf, 0, allowed, True, tuple(scanned))
-        basis = _capped_basis(n, d)
+        basis = degree_basis(n, d)
+        if len(basis) > DEGREE_ORACLE_MAX_MONOMIALS:
+            raise ResourceLimitError(f"{len(basis)} monomials of degree <= {d} exceeds cap "
+                                     f"{DEGREE_ORACLE_MAX_MONOMIALS}")
         if ball < 1 << len(basis):
             hit = _ball_level(n, basis, anf, allowed)
         else:
@@ -273,6 +259,8 @@ def certify_approx_majority(c: CircuitDag, eps: float, mode: str = "exact",
     elif mode == "mc":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if seed is None:
+            raise ValueError("mc mode needs a seed")
         # drawn chunk by chunk as they are evaluated: memory does not grow with trials
         rng, chunk_lanes = rng_for(seed, "mc-agreement"), CHUNK_WORDS * 64
         chunks = (random_input_words(n, min(chunk_lanes, trials - start), rng)

@@ -360,7 +360,7 @@ def test_c7_degree_oracle():
     anf_deg = np.max(np.where(coeffs == 1, weights[None, :], 0), axis=1)
     span_deg = np.full(1 << 16, 255, dtype=np.uint8)
     for d in range(4, -1, -1):
-        members = V.span_tables(4, d)
+        members = V._span(4, V.degree_basis(4, d))
         span_deg[members] = d
     if not np.array_equal(span_deg, anf_deg):
         bad = int(np.nonzero(span_deg != anf_deg)[0][0])

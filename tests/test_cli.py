@@ -1,14 +1,19 @@
 import argparse
 import dataclasses
 import json
+import runpy
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from apxmaj import compiler
+from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
-from apxmaj.cli import EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig, _build_parser, main
+from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig,
+                        _build_parser, main)
 
 from conftest import oracle_table_formula, random_formula
 
@@ -278,14 +283,79 @@ def test_check_gamma_reports_a2_violations(workdir):
     ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 1e9, "n": 50, "gamma": 0.05, "k": 3}]},
      "grid key 'M' takes integers that fit a float, got 1000000000.0"),
     ("tails", {"n": [10**400]}, f"grid key 'n' takes integers that fit a float, got {10**400}"),
+    ("gamma", {"A": [10**300]},
+     "gamma grid values overflow a float (int too large to convert to float)"),
+    ("lemma", {"tuples": [{"A": 1e300, "s": 2.0, "M": 100, "n": 50, "gamma": 0.05, "k": 3}]},
+     "lemma grid values overflow a float (math range error)"),
+    ("inequality", {"a": [1e300], "b": [1e300], "d": [2]},  # the gap is inf - inf
+     "inequality grid values overflow a float (a result is not finite)"),
 ], ids=["array", "lemma-missing-keys", "gamma-scalar", "lemma-scalar", "tails-fraction",
         "gamma-wrong-key", "inequality-bool", "inequality-text", "gamma-i_max-fraction",
-        "lemma-fraction", "tails-beyond-float"])
+        "lemma-fraction", "tails-beyond-float", "gamma-overflow", "lemma-overflow",
+        "inequality-overflow"])
 def test_bad_grid_exits_2_with_one_line(workdir, capsys, kind, grid, message):
     (workdir / "g.json").write_text(json.dumps(grid))
     assert run(["check", kind, "--grid", "g.json", "--out", "k"]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "k").exists()
+
+
+@pytest.mark.parametrize("kind, grid, work", [
+    ("inequality", {"a": [0] * 1000, "b": [0] * 1000, "d": [1, 2]}, 2 * 10**6),
+    ("gamma", {"i_max": 10**24}, 31 * 13 * 10**24),
+    ("tails", {"n": [10**9]}, 3 * (10**9 + 1)),
+    ("tails", {"n": [10**9, -10**9]}, 6 * (10**9 + 1)),  # no work is taken off
+], ids=["inequality", "gamma", "tails", "tails-negative-n"])
+def test_check_work_cap_exits_3_before_any_work(workdir, capsys, kind, grid, work):
+    (workdir / "g.json").write_text(json.dumps(grid))
+    assert run(["check", kind, "--grid", "g.json", "--out", "k"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (f"resource cap: check {kind} grid needs {work} "
+                                       f"evaluations, over the cap of {CHECK_WORK_CAP}\n")
+    assert not (workdir / "k").exists()
+
+
+def test_check_inequality_first_violation_in_sweep_order(workdir, capsys):
+    grid = {"a": [-3, -1.5, 0, 2], "b": [5, -2.5], "d": [1, 2, 3]}
+    (workdir / "g.json").write_text(json.dumps(grid))
+    assert run(["check", "inequality", "--grid", "g.json", "--out", "k"]) == EXIT_FAIL
+    assert capsys.readouterr().out == (
+        "inequality: checked=24 violations=1 "
+        "first={'a': -3.0, 'b': -2.5, 'd': 2, 'gap': -0.2037037037037035}\n")
+
+
+def test_check_lemma_reports_first_violation(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(S.TechnicalLemmaReport, "ok", property(lambda r: r.k != 3))
+    ok = {"A": 21.0, "s": 2.0, "M": 10**9, "n": 50, "gamma": 0.05, "k": 4}
+    grid = {"tuples": [ok, dict(ok, A=1.0, k=3), dict(ok, k=3), dict(ok, s=3.0, k=3)]}
+    (workdir / "g.json").write_text(json.dumps(grid))
+    assert run(["check", "lemma", "--grid", "g.json", "--out", "k"]) == EXIT_FAIL
+    doc = json.loads(Path("k/check_lemma.json").read_text())
+    assert (doc["checked"], doc["violations"], doc["hypothesis_skips"]) == (3, 2, 1)
+    assert doc["first_violation"] == dict(ok, k=3)
+
+
+def test_check_lemma_memory_flat_in_trials(workdir):
+    # tuples are checked as they are drawn, so 10x the trials must not mean
+    # 10x the memory (a list of every tuple: 0.24 MB at 1,000, 2.1 MB at 10,000)
+    run(["check", "lemma", "--trials", "1", "--out", "k"])  # builds the parser outside the trace
+    peaks = []
+    for trials in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            assert run(["check", "lemma", "--trials", str(trials), "--out", "k"]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_bound_checks_reproduced(workdir):
+    # scripts/run_bound_checks.py writes the committed bound_checks/ byte for byte
+    repo = Path(__file__).resolve().parent.parent
+    assert runpy.run_path(str(repo / "scripts/run_bound_checks.py"))["main"]() == 0
+    for kind in ("inequality", "lemma", "gamma", "tails"):
+        name = f"bound_checks/{kind}/check_{kind}.json"
+        assert (workdir / name).read_bytes() == (repo / name).read_bytes(), name
 
 
 def test_grid_values_of_each_kind_accepted(workdir):
@@ -348,6 +418,25 @@ SETTINGS = {
 def _argument_names(parser) -> list[str]:
     return [a.option_strings[0] if a.option_strings else a.dest
             for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_parser_reuse_leaks_no_value(workdir, capsys):
+    # main keeps one parser per process: a flag given on one call must not
+    # carry over to a later call that leaves it out
+    _write_inputs(workdir)
+
+    def outputs(argv):
+        shutil.rmtree(workdir / "o", ignore_errors=True)
+        code = run(argv + ["--out", "o"])
+        files = {p.name: p.read_text() for p in sorted((workdir / "o").iterdir())
+                 if not p.name.endswith(".meta.json")}
+        return code, capsys.readouterr(), files
+
+    for command, argv in SUBCOMMAND_ARGV.items():
+        plain, seeded = outputs(argv), outputs(argv + ["--seed", "5"])
+        assert seeded != plain, command
+        assert outputs(argv) == plain, command
+        assert outputs(argv + ["--seed", "5"]) == seeded, command
 
 
 def test_settings_surface():

@@ -151,7 +151,7 @@ def _ball_is_chosen(n: int, basis: list[int], allowed: int) -> bool:
 @settings(max_examples=150, deadline=None)
 def test_ball_matches_brute_force_span_search(n_bits, eps):
     # every level up to 2^16 candidates on which the oracle walks the ball:
-    # the least-index hit and its distance, by brute force over span_tables
+    # the least-index hit and its distance, by brute force over the span
     n, bits = n_bits
     allowed = math.floor(eps * (1 << n))
     anf = g.from_truth_table(bits, n)
@@ -159,7 +159,7 @@ def test_ball_matches_brute_force_span_search(n_bits, eps):
         basis = V.degree_basis(n, d)
         if len(basis) > 16 or not _ball_is_chosen(n, basis, allowed):
             continue
-        dist = np.bitwise_count(V.span_tables(n, d) ^ np.uint32(bits))
+        dist = np.bitwise_count(V._span(n, basis) ^ np.uint32(bits))
         hits = np.flatnonzero(dist <= allowed)
         want = (int(hits[0]), int(dist[hits[0]])) if hits.size else None
         assert V._ball_level(n, basis, anf, allowed) == want
@@ -185,7 +185,7 @@ def test_ball_matches_span_scan_at_degree3(coeffs, flips, eps):
 
 def test_span_tables_is_reed_muller():
     # span(n=3, D=1): the 16 affine functions
-    tabs = V.span_tables(3, 1)
+    tabs = V._span(3, V.degree_basis(3, 1))
     assert len(set(int(t) for t in tabs)) == 16
     for t in tabs:
         assert g.from_truth_table(int(t), 3).degree <= 1
@@ -283,6 +283,12 @@ def test_mc_memory_flat_in_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_mc_needs_a_seed():
+    dag = formula_to_dag(parse_formula("(or x0 x1)"), 3)
+    with pytest.raises(ValueError, match="mc mode needs a seed"):
+        V.certify_approx_majority(dag, 0.25, "mc", trials=100)
 
 
 def test_mc_rejects_nonpositive_trials():
