@@ -24,7 +24,7 @@ from .compiler import (
     sample,
     theoretical_degree,
 )
-from .gf2poly import SparsePolyF2, add, compose, eval_poly, exact_majority_poly, from_truth_table, mul
+from .gf2poly import SparsePolyF2, add, eval_poly, from_truth_table, mul
 from .synthesis import (
     SynthPlan,
     SynthResult,

@@ -249,7 +249,7 @@ def _plan_json(p) -> dict:
     return {
         "n": p.n, "d": p.d, "eps": p.eps, "mode": p.mode, "A": p.a,
         "log_M": p.log_m, "M": p.m, "log_M_top": p.log_m_top, "M_top": p.m_top,
-        "s_top": p.s_top, "delta": p.delta, "eps0": p.eps0,
+        "s_top": p.s_top, "delta": p.delta, "eps0": synth_mod.EPS0,
         "gamma": list(p.gamma),
         "levels": [{
             "index": s.index, "kind": s.kind.value,
@@ -273,13 +273,8 @@ def _single_output_netlist(path: str):
 def cmd_verify(args, cfg: RunConfig) -> int:
     dag = _single_output_netlist(args.netlist)
     report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, cfg.trials, cfg.seed)
-    doc = {
-        "n": report.n, "eps": report.eps, "mode": report.mode,
-        "disagreement": report.disagreement, "ci_lo": report.ci_lo,
-        "ci_hi": report.ci_hi, "trials": report.trials,
-        "seed": cfg.seed, "passed": report.passed,
-    }
-    verify_mod.emit_report(doc, Path(cfg.out) / "certification.json", meta={"seed": cfg.seed})
+    verify_mod.emit_report({**vars(report), "seed": cfg.seed}, Path(cfg.out) / "certification.json",
+                           meta={"seed": cfg.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
           f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={cfg.seed}")
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -293,14 +288,8 @@ def cmd_degree(args, cfg: RunConfig) -> int:
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps)
-    doc = {
-        "n": cert.n, "eps": cert.eps, "degree": cert.degree,
-        "witness": gf2poly.format_poly(cert.witness),
-        "distance": cert.distance, "allowed": cert.allowed,
-        "exhausted": cert.exhausted, "scanned": list(cert.scanned),
-        "seed": cfg.seed,
-    }
-    verify_mod.emit_report(doc, Path(cfg.out) / "degree.json", meta={"seed": cfg.seed})
+    verify_mod.emit_report({**vars(cert), "seed": cfg.seed}, Path(cfg.out) / "degree.json",
+                           meta={"seed": cfg.seed})
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
           f"witness={gf2poly.format_poly(cert.witness)}")
     return EXIT_OK
@@ -405,7 +394,7 @@ def _check_inequality(grid: dict) -> dict:
         for d in dvals:
             for a in avals:
                 holds, gap = compiler.check_key_inequality(a, b, d)
-                _finite(gap)  # an unused square in _powi may overflow; the gap may not
+                _finite(gap)  # a gap past the float range is a bad grid, not a verdict
                 yield holds, lambda j: {"a": a, "b": float(b[j]), "d": d, "gap": float(gap[j])}
     with np.errstate(over="ignore", invalid="ignore"):
         return _summary(rows())

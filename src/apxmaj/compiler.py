@@ -64,7 +64,6 @@ SAMPLE_TABLE_MAX_N = 20
 @dataclass(frozen=True)
 class GateApproximator:
     kind: GateKind
-    fan_in: int
     eps: Fraction  # target error; achieved error is 2^-k (0 if exact)
     k: int         # random linear factors; 0 means the gate is exact
 
@@ -77,7 +76,7 @@ class GateApproximator:
         return Fraction(0) if self.exact else Fraction(1, 2**self.k)
 
 
-def razborov_gate_recipe(kind: GateKind, m: int, eps: Fraction | float) -> GateApproximator:
+def razborov_gate_recipe(kind: GateKind, eps: Fraction | float) -> GateApproximator:
     """Approximator for one unbounded fan-in gate at error eps.
 
     AND/OR get k = ceil(log2(1/eps)) random subset-parity factors (degree <= k,
@@ -87,14 +86,12 @@ def razborov_gate_recipe(kind: GateKind, m: int, eps: Fraction | float) -> GateA
     epsf = Fraction(eps)
     if not 0 < epsf < 1:
         raise ValueError(f"error must be in (0, 1), got {eps}")
-    if m < 1:
-        raise ValueError("fan-in must be at least 1")
     if kind in (GateKind.XOR, GateKind.NOT):
-        return GateApproximator(kind, m, epsf, 0)
+        return GateApproximator(kind, epsf, 0)
     if kind not in (GateKind.AND, GateKind.OR):
         raise ValueError(f"no approximator for gate kind {kind}")
     k = _ceil_log2_ratio(epsf.denominator, epsf.numerator)
-    return GateApproximator(kind, m, epsf, k)
+    return GateApproximator(kind, epsf, k)
 
 
 def _ceil_log2_ratio(num: int, den: int) -> int:
@@ -261,14 +258,13 @@ def _compile(f: FormulaNode) -> RecipeNode:
         return ConstNode(1)
     if kind is GateKind.NOT:
         child = _compile(f.children[0])
-        approx = GateApproximator(GateKind.NOT, 1, Fraction(0), 0)
+        approx = GateApproximator(GateKind.NOT, Fraction(0), 0)
         return GateNode(GateKind.NOT, approx, (child,), base=False, size=child.size,
                         degree_bound=child.degree_bound, err_bound=child.err_bound)
 
-    m = len(f.children)
     is_base = all(not c.children for c in f.children)
     if is_base:
-        approx = razborov_gate_recipe(kind, m, Fraction(1, 8))
+        approx = razborov_gate_recipe(kind, Fraction(1, 8))
         children = tuple(_compile(c) for c in f.children)
         return _make_gate(kind, approx, children, base=True)
 
@@ -280,7 +276,7 @@ def _compile(f: FormulaNode) -> RecipeNode:
         if r.err_bound > float(target):
             r = error_reduce(r, target)
         children.append(r)
-    approx = razborov_gate_recipe(kind, m, Fraction(1, 16))
+    approx = razborov_gate_recipe(kind, Fraction(1, 16))
     return _make_gate(kind, approx, tuple(children), base=False)
 
 
@@ -301,15 +297,15 @@ def _make_gate(kind: GateKind, approx: GateApproximator,
 # ---------------------------------------------------------------------------
 # closed-form bounds
 
-def theoretical_degree(s: int | float, d: int, c2: float = C2) -> float:
-    """3*(c2*((1/d)*log2(s) + 1))^d, with the depth-1 (d=0) value 3."""
+def theoretical_degree(s: int | float, d: int) -> float:
+    """3*(C2*((1/d)*log2(s) + 1))^d, with the depth-1 (d=0) value 3."""
     if s < 1:
         raise ValueError("formula size must be >= 1")
     if d < 0:
         raise ValueError("depth exponent must be >= 0")
     if d == 0:
         return 3.0
-    return 3.0 * _powi(c2 * (math.log2(s) / d + 1.0), d)
+    return 3.0 * _powi(C2 * (math.log2(s) / d + 1.0), d)
 
 
 def check_key_inequality(a: float, b: float, d: int) -> tuple[bool, float]:
@@ -326,39 +322,41 @@ def check_key_inequality(a: float, b: float, d: int) -> tuple[bool, float]:
 
 
 def _powi(x: float, k: int) -> float:
+    """x^k by binary powering; x is squared only while bits of k remain."""
     r = 1.0
     while k:
         if k & 1:
             r *= x
-        x *= x
         k >>= 1
+        if k:
+            x *= x
     return r
 
 
-def formula_size_lower_bound(n: int, d: int, degree_lb: int, c2: float = C2) -> int | float:
+def formula_size_lower_bound(d: int, degree_lb: int) -> int | float:
     """Least formula size s whose certified degree bound at depth d reaches
     degree_lb; any function of approximate degree >= degree_lb needs depth-d
     formulas at least this large.  Returns inf when depth d cannot reach it
-    at any size (d = 1 caps at degree 3).  n is recorded by callers only.
+    at any size (d = 1 caps at degree 3).
     """
     if degree_lb < 1:
         raise ValueError("degree lower bound must be >= 1")
     if d < 1:
         raise ValueError("depth must be >= 1")
     dd = d - 1
-    if theoretical_degree(1, dd, c2) >= degree_lb:
+    if theoretical_degree(1, dd) >= degree_lb:
         return 1
     if dd == 0:
         return math.inf
     hi = 2
-    while theoretical_degree(hi, dd, c2) < degree_lb:
+    while theoretical_degree(hi, dd) < degree_lb:
         hi *= 2
         if hi > 2**4096:
             return math.inf
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if theoretical_degree(mid, dd, c2) >= degree_lb:
+        if theoretical_degree(mid, dd) >= degree_lb:
             hi = mid
         else:
             lo = mid

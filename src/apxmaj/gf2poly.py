@@ -10,8 +10,6 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +34,6 @@ class SparsePolyF2:
     @property
     def degree(self) -> int:
         return max((m.bit_count() for m in self.monomials), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -96,28 +91,6 @@ def _as_mask(n: int, x: Sequence[int] | int) -> int:
         if b & 1:
             mask |= 1 << i
     return mask
-
-
-def compose(p: SparsePolyF2, qs: Sequence[SparsePolyF2]) -> SparsePolyF2:
-    """Substitute q_i for variable i of p, reducing multilinearly."""
-    if len(qs) != p.n:
-        raise DimensionError(f"need {p.n} substituents, got {len(qs)}")
-    if not qs:
-        return SparsePolyF2(0, p.monomials)
-    n_out = qs[0].n
-    for q in qs:
-        if q.n != n_out:
-            raise DimensionError("substituents disagree on variable count")
-    acc: set[int] = set()
-    for m in p.monomials:
-        term = one(n_out)
-        for i in range(p.n):
-            if m >> i & 1:
-                term = mul(term, qs[i])
-                if term.is_zero():
-                    break
-        acc ^= term.monomials
-    return SparsePolyF2(n_out, frozenset(acc))
 
 
 # Packed truth tables: bit b of word w is the value at assignment 64*w + b.
@@ -248,21 +221,6 @@ def majority_anf_coefficients(m: int) -> list[int]:
                 s ^= 1
         coeffs.append(s)
     return coeffs
-
-
-def exact_majority_poly(m: int) -> SparsePolyF2:
-    """ANF of MAJ_m for odd m (capped: the monomial list is exponential in m)."""
-    if m % 2 == 0:
-        raise ValueError(f"majority of even arity {m} is not defined here")
-    if m > TRUTH_TABLE_MAX_N:
-        raise ResourceLimitError(f"exact majority polynomial capped at m <= {TRUTH_TABLE_MAX_N}")
-    coeffs = majority_anf_coefficients(m)
-    monos: set[int] = set()
-    for j, aj in enumerate(coeffs):
-        if aj:
-            for combo in combinations(range(m), j):
-                monos.add(reduce(lambda acc, i: acc | (1 << i), combo, 0))
-    return SparsePolyF2(m, frozenset(monos))
 
 
 def elementary_symmetric_combine(coeffs: Sequence[int], qs: Sequence[SparsePolyF2]) -> SparsePolyF2:

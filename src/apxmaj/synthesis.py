@@ -83,22 +83,6 @@ class LevelSpec:
 
 
 @dataclass(frozen=True)
-class BiasBands:
-    """Input promise sets: Y_eps / N_eps are weight thresholds on the input."""
-
-    n: int
-    eps: float
-
-    @property
-    def y_threshold(self) -> float:
-        return (0.5 + self.eps / math.sqrt(self.n)) * self.n
-
-    @property
-    def n_threshold(self) -> float:
-        return (0.5 - self.eps / math.sqrt(self.n)) * self.n
-
-
-@dataclass(frozen=True)
 class SynthPlan:
     n: int
     d: int
@@ -113,7 +97,6 @@ class SynthPlan:
     levels: tuple[LevelSpec, ...]
     side_conditions: dict[str, bool]
     side_values: dict[str, float]
-    eps0: float = EPS0
 
     @property
     def m(self) -> int | None:
@@ -135,9 +118,6 @@ class SynthPlan:
             if spec.fan_in is None:
                 out.append(f"{spec.describe()}: fan-in exceeds cap {WIDTH_CAP}")
         return out
-
-    def bands(self) -> BiasBands:
-        return BiasBands(self.n, self.eps)
 
 
 # override key -> (lower bound, whether the bound is strict); every value
@@ -421,17 +401,13 @@ def resample_until_valid(p: SynthPlan, witnesses: Sequence[Sequence[int] | int],
     if not witnesses:
         raise ValueError("witness set must be nonempty")
     masks = [_as_mask(p.n, x) for x in witnesses]
-    weights = [m.bit_count() for m in masks]
-    preds = {w: bias_recurrence(p, w) for w in set(weights)}
     histogram: dict[int, int] = {}
     for attempt in range(max_tries):
         result = synth(p, derive_seed(seed, "try", attempt))
-        ones = result.level_ones(masks).tolist()
-        for li, spec in enumerate(p.levels):
-            level_preds = [preds[w][li] for w in weights]
-            if any(abs(k / spec.width - pred.ones_fraction) > slack_sigmas * pred.sigma
-                   for k, pred in zip(ones[li], level_preds)):
-                histogram[spec.index] = histogram.get(spec.index, 0) + 1
+        for level in zip(*level_checks(result, masks)):  # every witness, level by level
+            if any(abs(obs.ones_fraction - obs.predicted) > slack_sigmas * obs.sigma
+                   for obs in level):
+                histogram[level[0].index] = histogram.get(level[0].index, 0) + 1
                 break
         else:
             return result, attempt + 1, histogram

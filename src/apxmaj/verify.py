@@ -59,10 +59,6 @@ class TruthTable:
             raise ParseError(f"invalid hex string '{text}'") from None
         return cls(n, bits)
 
-    def to_hex(self) -> str:
-        width = max(1, (1 << self.n) // 4)
-        return format(self.bits, f"0{width}x")
-
     @classmethod
     def from_circuit(cls, c: CircuitDag) -> "TruthTable":
         """Table of the circuit's first output."""
@@ -188,7 +184,7 @@ def _ball_level(n: int, basis: list[int], anf: SparsePolyF2,
     """
     size = 1 << n
     high = np.uint32(sum(1 << m for m in range(size)) ^ sum(1 << m for m in basis))
-    units = [np.uint32(sum(1 << m for m in range(size) if m & p == p)) for p in range(size)]
+    units = [np.uint32(monomial_table(n, p)) for p in range(size)]
     layer = np.array([sum(1 << m for m in anf.monomials)], dtype=np.uint32)
     best = None
     for k in range(min(allowed, size) + 1):

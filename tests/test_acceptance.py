@@ -148,7 +148,7 @@ def test_c2_compiler_end_to_end():
         f = random_formula(rng, n, depth, max_size=32)
         recipe = C.compile_formula(f)
         d = max(f.depth - 1, 0)
-        bound = C.theoretical_degree(f.size, d, C.C2)
+        bound = C.theoretical_degree(f.size, d)
         if recipe.degree_bound > bound:
             failures.append(f"formula {fi}: ledger bound {recipe.degree_bound} > {bound:.1f}")
         tables = C.sample_tables(recipe, 2000, seed=SEED_C2 * 1000 + fi)

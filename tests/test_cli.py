@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import runpy
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import apxmaj
 from apxmaj import compiler
 from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
@@ -446,6 +448,34 @@ def test_settings_surface():
     assert {cmd: _argument_names(sp) for cmd, sp in subparsers.choices.items()} == SETTINGS
     assert sum(map(len, SETTINGS.values())) == 27
     assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "trials", "out"]
+
+
+def test_library_surface():
+    # removed names and one-value settings stay removed: a new one needs two
+    # callers that want different values
+    exported = sorted(name for name, value in vars(apxmaj).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == [
+        "CircuitDag", "CompiledRecipe", "DegreeCertificate", "FormulaNode", "GateKind",
+        "SparsePolyF2", "SynthPlan", "SynthResult", "TruthTable", "add", "bias_recurrence",
+        "certify_approx_majority", "check_key_inequality", "check_technical_lemma",
+        "compile_formula", "emit_report", "empirical_level_check", "error_reduce",
+        "eval_circuit", "eval_poly", "eval_sample", "formula_size_lower_bound",
+        "from_truth_table", "level_checks", "majority", "min_approx_degree", "mul",
+        "parse_formula", "parse_netlist", "plan", "razborov_gate_recipe",
+        "resample_until_valid", "sample", "serialize_formula", "serialize_netlist",
+        "smolensky_table", "synth", "tail_mass", "theoretical_degree",
+        "triangle_corollary_check", "unfold_to_formula"]
+    params = {f.__name__: list(inspect.signature(f).parameters)
+              for f in (compiler.theoretical_degree, compiler.formula_size_lower_bound,
+                        compiler.razborov_gate_recipe)}
+    assert params == {"theoretical_degree": ["s", "d"],
+                      "formula_size_lower_bound": ["d", "degree_lb"],
+                      "razborov_gate_recipe": ["kind", "eps"]}
+    assert [f.name for f in dataclasses.fields(compiler.GateApproximator)] == ["kind", "eps", "k"]
+    assert [f.name for f in dataclasses.fields(S.SynthPlan)] == [
+        "n", "d", "eps", "mode", "a", "log_m", "log_m_top", "s_top", "gamma", "delta",
+        "levels", "side_conditions", "side_values"]
 
 
 def test_format_flag_removed(workdir, capsys):

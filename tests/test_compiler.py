@@ -18,22 +18,22 @@ from conftest import oracle_table_formula, random_formula
 # --------------------------------------------------------------- gate recipes
 
 def test_razborov_or_k():
-    a = C.razborov_gate_recipe(GateKind.OR, 8, Fraction(1, 8))
+    a = C.razborov_gate_recipe(GateKind.OR, Fraction(1, 8))
     assert a.k == 3
     assert float(a.achieved_error) == 0.125
 
 
 def test_razborov_xor_exact_any_eps():
     for eps in (0.5, 0.01, Fraction(1, 1000)):
-        a = C.razborov_gate_recipe(GateKind.XOR, 6, eps)
+        a = C.razborov_gate_recipe(GateKind.XOR, eps)
         assert a.exact and a.k == 0
 
 
 def test_razborov_eps_out_of_range():
     with pytest.raises(ValueError):
-        C.razborov_gate_recipe(GateKind.OR, 4, 0)
+        C.razborov_gate_recipe(GateKind.OR, 0)
     with pytest.raises(ValueError):
-        C.razborov_gate_recipe(GateKind.AND, 4, 1)
+        C.razborov_gate_recipe(GateKind.AND, 1)
 
 
 def test_or4_misclassification_exactly_one_eighth():
@@ -41,8 +41,7 @@ def test_or4_misclassification_exactly_one_eighth():
     # the recipe; at every x != 0 the sampled polynomial 1 + prod_j (1 + <S_j, x>)
     # errs iff all k parities vanish, which happens for exactly 8^k of the
     # 16^k tuples, so the enumerated error equals the recipe's achieved_error.
-    m = 4
-    approx = C.razborov_gate_recipe(GateKind.OR, m, Fraction(1, 8))
+    approx = C.razborov_gate_recipe(GateKind.OR, Fraction(1, 8))
     k = approx.k
     for x in range(1, 16):
         bad = 0
@@ -143,7 +142,7 @@ def test_sampled_polys_respect_bounds(rng):
         f = random_formula(rng, n, int(rng.integers(1, 5)))
         r = C.compile_formula(f)
         d = max(f.depth - 1, 0)
-        assert r.degree_bound <= C.theoretical_degree(f.size, d, C.C2)
+        assert r.degree_bound <= C.theoretical_degree(f.size, d)
         tables = C.sample_tables(r, 64, seed=int(rng.integers(2**32)))
         degs = C.table_degrees(tables, r.n)
         assert int(degs.max()) <= r.degree_bound
@@ -224,10 +223,10 @@ def test_compile_handles_constants_and_not_root():
 
 def test_theoretical_degree_examples():
     assert C.theoretical_degree(100, 0) == 3.0
-    assert C.theoretical_degree(1, 3, 174.0) == 3.0 * 174.0**3
+    assert C.theoretical_degree(1, 3) == 3.0 * C.C2**3
     prev = 0.0
     for s in (1, 2, 4, 8, 1024, 10**6):
-        v = C.theoretical_degree(s, 3, 174.0)
+        v = C.theoretical_degree(s, 3)
         assert v >= prev
         prev = v
 
@@ -245,6 +244,14 @@ def test_key_inequality_roots_and_grid():
             assert gap > 1e-6 or (a == 0 and b == 0)
 
 
+def test_key_inequality_squares_only_what_the_gap_uses():
+    # ((a+b)/2+1)^2 = 2.5e199 fits a float; squaring it once more would not
+    _, scalar = C.check_key_inequality(1e100, 3.0, 1)
+    with np.errstate(over="raise"):
+        _, gap = C.check_key_inequality(1e100, np.array([3.0]), 1)
+    assert float(gap[0]) == scalar == pytest.approx(2.5e199)
+
+
 @given(st.floats(0, 64), st.floats(0, 64), st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
 def test_key_inequality_property(a, b, d):
@@ -253,21 +260,21 @@ def test_key_inequality_property(a, b, d):
 
 
 def test_formula_size_lower_bound_examples():
-    assert C.formula_size_lower_bound(8, 3, 3) == 1
+    assert C.formula_size_lower_bound(3, 3) == 1
     prev = 0
     for lb in (3, 6, 12, 24, 48, 96):
-        s = C.formula_size_lower_bound(16, 2, lb)
+        s = C.formula_size_lower_bound(2, lb)
         assert s >= prev
         prev = s
     # depth-1 formulas cap at degree 3
-    assert C.formula_size_lower_bound(8, 1, 4) == math.inf
+    assert C.formula_size_lower_bound(1, 4) == math.inf
 
 
 def test_formula_size_lower_bound_closed_form_d2():
     # at d=2 the bound reads 3*c2*(log2 s + 1) >= lb, so s* = 2^(lb/(3 c2) - 1)
     from apxmaj.verify import majority_truth_table, min_approx_degree
     lb = min_approx_degree(majority_truth_table(5), 0.125).degree
-    got = C.formula_size_lower_bound(5, 2, lb)
+    got = C.formula_size_lower_bound(2, lb)
     direct = 1
     while C.theoretical_degree(direct, 1) < lb:
         direct += 1

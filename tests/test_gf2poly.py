@@ -59,20 +59,6 @@ def test_eval_examples():
     assert g.eval_poly(g.zero(3), [1, 1, 1]) == 0
 
 
-def test_compose_examples():
-    q = g.parse_poly("x0*x1 + x2", 3)
-    assert g.compose(g.variable(1, 0), [q]) == q
-    assert g.compose(g.parse_poly("x0 + x1", 2), [q, q]) == g.zero(3)
-    got = g.compose(g.parse_poly("x0*x1", 2), [g.parse_poly("x0 + x1", 3), g.variable(3, 2)])
-    assert got == g.parse_poly("x0*x2 + x1*x2", 3)
-    assert got.degree == 2 <= 2 * 1
-
-
-def test_compose_arity_mismatch():
-    with pytest.raises(DimensionError):
-        g.compose(g.parse_poly("x0 + x1", 2), [g.one(3)])
-
-
 # ---------------------------------------------------------------- truth tables
 
 def test_from_truth_table_examples():
@@ -159,33 +145,7 @@ def test_homomorphisms_and_degree_bounds(npq):
     assert m.degree <= p.degree + q.degree
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.tuples(st.just(m), polys(m), st.lists(polys(3), min_size=m, max_size=m))))
-@settings(max_examples=40, deadline=None)
-def test_compose_pointwise_and_degree(arg):
-    m, p, qs = arg
-    got = g.compose(p, qs)
-    for j in range(8):
-        inner = [g.eval_poly(q, j) for q in qs]
-        assert g.eval_poly(got, j) == g.eval_poly(p, inner)
-    if p.degree > 0:
-        assert got.degree <= p.degree * max(q.degree for q in qs)
-
-
 # -------------------------------------------------------------------- majority
-
-def test_exact_majority_poly_examples():
-    assert g.exact_majority_poly(1) == g.variable(1, 0)
-    assert g.exact_majority_poly(3) == g.parse_poly("x0*x1 + x0*x2 + x1*x2", 3)
-    maj5 = g.exact_majority_poly(5)
-    for j in range(32):
-        assert g.eval_poly(maj5, j) == int(bin(j).count("1") > 2.5)
-
-
-def test_exact_majority_poly_rejects_even():
-    with pytest.raises(ValueError):
-        g.exact_majority_poly(4)
-
 
 def test_elementary_symmetric_combine_matches_majority(rng):
     coeffs = g.majority_anf_coefficients(5)

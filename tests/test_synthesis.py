@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from apxmaj import synthesis as S
 from apxmaj.circuits import GateKind, eval_circuit
 from apxmaj.errors import ResourceLimitError
-from apxmaj.rng import rng_for
+from apxmaj.rng import derive_seed, rng_for
 
 from conftest import oracle_eval_dag
 
@@ -109,7 +109,7 @@ def test_plan_desk_records_side_conditions():
     p = S.plan(**{k: DESK[k] for k in ("n", "d", "eps")}, overrides=DESK["overrides"])
     assert p.mode == "desk-scale"
     assert p.delta == pytest.approx(1 / 101**3)
-    assert p.eps0 == 0.5
+    assert S.EPS0 == 0.5
     assert set(p.side_conditions) >= {"A_ge_10_ln_n", "expA_ge_n_cubed",
                                       "top_s_gamma_ge_5_ln_inv_eps"}
     assert p.side_conditions["A_ge_10_ln_n"] is False  # A=3 is a desk fan-in
@@ -249,12 +249,31 @@ def test_resample_zero_slack_exhausts():
     assert sum(exc.value.histogram.values()) == 3
 
 
+def test_resample_histogram_records_first_level_off_prediction():
+    # each exhausted try counts once, at the first level where some witness
+    # is more than slack_sigmas sigmas from its level_checks prediction
+    p = S.plan(**{k: DESK[k] for k in ("n", "d", "eps")}, overrides=DESK["overrides"])
+    witnesses = [sum(1 << i for i in range(w)) for w in (40, 50, 60)]
+    slack, tries, want = 0.7, 4, {}
+    for attempt in range(tries):
+        result = S.synth(p, derive_seed(1, "try", attempt))
+        checks = S.level_checks(result, witnesses)
+        first = min(obs.index for observations in checks for obs in observations
+                    if abs(obs.ones_fraction - obs.predicted) > slack * obs.sigma)
+        want[first] = want.get(first, 0) + 1
+    assert set(want) == {1, 2, 3}  # these tries fail at every level
+    with pytest.raises(S.ResampleExhausted) as exc:
+        S.resample_until_valid(p, witnesses, max_tries=tries, seed=1, slack_sigmas=slack)
+    assert exc.value.histogram == want
+
+
 def test_resample_desk_witness_set(rng):
     p = S.plan(**{k: DESK[k] for k in ("n", "d", "eps")}, overrides=DESK["overrides"])
-    bands = p.bands()
+    n, eps = DESK["n"], DESK["eps"]
+    n_threshold, y_threshold = n / 2 - eps * math.sqrt(n), n / 2 + eps * math.sqrt(n)
     witnesses = []
     for _ in range(50):
-        w = int(rng.choice([int(bands.n_threshold) - 5, int(bands.y_threshold) + 5]))
+        w = int(rng.choice([int(n_threshold) - 5, int(y_threshold) + 5]))
         idx = rng.permutation(101)[:w]
         witnesses.append(sum(1 << int(i) for i in idx))
     res, tries, hist = S.resample_until_valid(p, witnesses, max_tries=20, seed=123)
