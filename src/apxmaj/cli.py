@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +38,6 @@ EXIT_RESOURCE = 3
 CHECK_WORK_CAP = 10**6
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    trials: int = 2000
-    out: str = "out"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -56,8 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except (ParseError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -76,14 +67,13 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="apxmaj", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="command")
 
     def common(sp, trials=True):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=0)
         if trials:
-            sp.add_argument("--trials", type=_int_or_text, default=None)
-        sp.add_argument("--out", default=None)
+            sp.add_argument("--trials", type=_positive_int, default=2000)
+        sp.add_argument("--out", default="out")
 
     sp = sub.add_parser("compile", help="formula -> probabilistic polynomial recipe")
     sp.add_argument("formula", help="path to an s-expression formula file")
@@ -112,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--netlist", help="netlist file (single output)")
     sp.add_argument("--n", type=int, help="variable count (required with --hex)")
     sp.add_argument("--eps", type=float, required=True)
-    common(sp, trials=False)
+    sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("check", help="numeric sweeps of the analytical bounds")
@@ -123,41 +113,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from(args) -> RunConfig:
-    """--config values overridden by the flags given, all checked before any
-    command runs."""
-    values = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(values, dict):
-        raise ParseError("config file must hold a JSON object")
-    keys = [f.name for f in fields(RunConfig)]
-    for key in values:
-        if key not in keys:
-            raise ParseError(f"unknown config key '{key}'")
-    values.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
-    cfg = RunConfig(**values)
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
-        raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
-    if isinstance(cfg.trials, bool) or not isinstance(cfg.trials, int) or cfg.trials < 1:
-        raise ParseError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if not isinstance(cfg.out, str):
-        raise ParseError(f"out must be a string, got {cfg.out!r}")
-    return cfg
+def _number(text: str):
+    """An int, else a float, else the text itself."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _int_or_text(text: str):
-    """argparse type that leaves a non-integer as text, so _config_from
-    rejects it with the same one-line message as a bad --config value."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+def _positive_int(text: str) -> int:
+    value = _number(text)
+    if not isinstance(value, int) or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_overrides(text: str) -> dict:
-    keymap = {"a": ("A", int), "m": ("M", int), "logm": ("logM", float),
-              "mtop": ("M_top", int), "m_top": ("M_top", int),
-              "logmtop": ("logM_top", float), "logm_top": ("logM_top", float),
-              "stop": ("s_top", float), "s_top": ("s_top", float)}
+    """key=value pairs as numbers; plan checks each value against its key."""
+    keymap = {"a": "A", "m": "M", "mtop": "M_top", "m_top": "M_top",
+              "stop": "s_top", "s_top": "s_top"}
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -166,31 +142,32 @@ def _parse_overrides(text: str) -> dict:
         if "=" not in item:
             raise ParseError(f"override '{item}' is not key=value")
         key, value = item.split("=", 1)
-        norm = key.strip().lower()
-        if norm not in keymap:
+        name = keymap.get(key.strip().lower())
+        if name is None:
             raise ParseError(f"unknown override key '{key}'")
-        name, cast = keymap[norm]
-        out[name] = cast(value)
+        if name in out:
+            raise ParseError(f"override {name} must be given once")
+        out[name] = _number(value.strip())
     return out
 
 
 # ---------------------------------------------------------------------------
 
-def cmd_compile(args, cfg: RunConfig) -> int:
+def cmd_compile(args) -> int:
     text = Path(args.formula).read_text()
     formula = parse_formula(text)
     recipe = compiler.compile_formula(formula)
-    out = Path(cfg.out)
+    out = Path(args.out)
     doc = compiler.recipe_to_json(recipe)
-    doc["seed"] = cfg.seed
-    doc["trials"] = cfg.trials
-    verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": cfg.seed})
+    doc["seed"] = args.seed
+    doc["trials"] = args.trials
+    verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": args.seed})
     verify_mod.emit_report(compiler.ledger_csv_rows(recipe), out / "ledger.csv",
-                           meta={"seed": cfg.seed})
+                           meta={"seed": args.seed})
 
     rows = []
     if recipe.n <= 16:
-        tables = compiler.sample_tables(recipe, cfg.trials, cfg.seed)
+        tables = compiler.sample_tables(recipe, args.trials, args.seed)
         truth = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits
         wrong = tables ^ np.frombuffer(truth.to_bytes(tables.shape[1], "little"), dtype=np.uint8)
         errs = np.unpackbits(wrong, axis=-1, bitorder="little", count=1 << recipe.n).mean(axis=0)
@@ -200,7 +177,7 @@ def cmd_compile(args, cfg: RunConfig) -> int:
         max_deg = int(degrees.max())
     else:
         max_deg = None  # error table needs the full-table sampler
-    verify_mod.emit_report(rows, out / "errors.csv", meta={"seed": cfg.seed})
+    verify_mod.emit_report(rows, out / "errors.csv", meta={"seed": args.seed})
 
     print(f"compiled: size={recipe.formula_size} depth={recipe.formula_depth} "
           f"degree_bound={recipe.degree_bound} err_bound={recipe.err_bound:.6f} "
@@ -209,20 +186,20 @@ def cmd_compile(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args, cfg: RunConfig) -> int:
+def cmd_synth(args) -> int:
     p = synth_mod.plan(args.n, args.d, args.eps, _parse_overrides(args.override))
-    out = Path(cfg.out)
+    out = Path(args.out)
     doc = _plan_json(p)
-    doc["seed"] = cfg.seed
-    verify_mod.emit_report(doc, out / "plan.json", meta={"seed": cfg.seed})
+    doc["seed"] = args.seed
+    verify_mod.emit_report(doc, out / "plan.json", meta={"seed": args.seed})
     if not p.synthesizable:
         print("NOTSYNTH: " + "; ".join(p.synth_blockers()))
         print(f"plan written to {out / 'plan.json'} (analysis only)")
         return EXIT_OK
-    result = synth_mod.synth(p, cfg.seed)
+    result = synth_mod.synth(p, args.seed)
     (out / "circuit.netlist").write_text(serialize_netlist(result.dag))
     weights = sorted({int(0.4 * p.n), p.n // 2, math.ceil(0.6 * p.n)})
-    checks = synth_mod.level_checks(result, [_random_weighted_input(p.n, w, cfg.seed)
+    checks = synth_mod.level_checks(result, [_random_weighted_input(p.n, w, args.seed)
                                              for w in weights])
     band_rows = [{
         "weight": w, "level": obs.index, "kind": obs.kind.value,
@@ -230,7 +207,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         "sigma": obs.sigma, "band_lo": obs.band_lo,
         "band_hi": obs.band_hi, "pass": obs.within_3_sigma,
     } for w, observations in zip(weights, checks) for obs in observations]
-    verify_mod.emit_report(band_rows, out / "bands.csv", meta={"seed": cfg.seed})
+    verify_mod.emit_report(band_rows, out / "bands.csv", meta={"seed": args.seed})
     print(f"synthesized: depth={result.dag.depth} gates={result.dag.size} "
           f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
     return EXIT_OK
@@ -270,17 +247,17 @@ def _single_output_netlist(path: str):
     return dag
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     dag = _single_output_netlist(args.netlist)
-    report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, cfg.trials, cfg.seed)
-    verify_mod.emit_report({**vars(report), "seed": cfg.seed}, Path(cfg.out) / "certification.json",
-                           meta={"seed": cfg.seed})
+    report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, args.trials, args.seed)
+    verify_mod.emit_report({**vars(report), "seed": args.seed}, Path(args.out) / "certification.json",
+                           meta={"seed": args.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
-          f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={cfg.seed}")
+          f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={args.seed}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_degree(args, cfg: RunConfig) -> int:
+def cmd_degree(args) -> int:
     if args.hex_table is not None:
         if args.n is None:
             raise ParseError("--hex needs --n")
@@ -288,24 +265,23 @@ def cmd_degree(args, cfg: RunConfig) -> int:
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps)
-    verify_mod.emit_report({**vars(cert), "seed": cfg.seed}, Path(cfg.out) / "degree.json",
-                           meta={"seed": cfg.seed})
+    verify_mod.emit_report(vars(cert), Path(args.out) / "degree.json")
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
           f"witness={gf2poly.format_poly(cert.witness)}")
     return EXIT_OK
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def cmd_check(args) -> int:
     grid = _read_grid(args.grid, args.kind)
     sweeps = {"inequality": _check_inequality, "gamma": _check_gamma, "tails": _check_tails,
-              "lemma": functools.partial(_check_lemma, cfg=cfg)}
+              "lemma": functools.partial(_check_lemma, trials=args.trials, seed=args.seed)}
     try:
         summary = sweeps[args.kind](grid)
     except OverflowError as e:
         raise ParseError(f"{args.kind} grid values overflow a float ({e})") from None
-    summary["seed"] = cfg.seed
-    verify_mod.emit_report(summary, Path(cfg.out) / f"check_{args.kind}.json",
-                           meta={"seed": cfg.seed})
+    summary["seed"] = args.seed
+    verify_mod.emit_report(summary, Path(args.out) / f"check_{args.kind}.json",
+                           meta={"seed": args.seed})
     ok = summary["violations"] == 0
     print(f"{args.kind}: checked={summary['checked']} violations={summary['violations']}"
           + (f" hypothesis_skips={summary['hypothesis_skips']}" if "hypothesis_skips" in summary else "")
@@ -428,13 +404,13 @@ def _check_tails(grid: dict) -> dict:
     return summary
 
 
-def _check_lemma(grid: dict, cfg: RunConfig) -> dict:
+def _check_lemma(grid: dict, trials: int, seed: int) -> dict:
     """Tuples that fail the lemma's hypotheses are skipped, not checked."""
     if "tuples" in grid:
         count = len(grid["tuples"])
         tuples = ((t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"])
     else:
-        count, tuples = cfg.trials, _lemma_tuples(cfg.trials, cfg.seed)
+        count, tuples = trials, _lemma_tuples(trials, seed)
     reports = (synth_mod.check_technical_lemma(*t) for t in tuples)
     summary = _summary(([r.ok] if r.hypotheses_ok else [],
                         lambda j: {"A": r.a, "s": r.s, "M": r.m, "n": r.n, "gamma": r.gamma, "k": r.k})

@@ -121,9 +121,8 @@ class SynthPlan:
 
 
 # override key -> (lower bound, whether the bound is strict); every value
-# must also be finite
-_OVERRIDE_LOWER = {"A": (1, False), "M": (1, False), "M_top": (1, False),
-                   "logM": (0, False), "logM_top": (0, False), "s_top": (0, True)}
+# must also be finite, and A, M, M_top integers (not booleans)
+_OVERRIDE_LOWER = {"A": (1, False), "M": (1, False), "M_top": (1, False), "s_top": (0, True)}
 
 
 def _finite(value) -> bool:
@@ -136,10 +135,9 @@ def _finite(value) -> bool:
 def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan:
     """Parameter sheet for the construction; overrides switch to desk mode.
 
-    Recognized override keys: A, M, logM, M_top, logM_top, s_top.  Each
-    value must be finite, with A, M, M_top >= 1, logM, logM_top >= 0 and
-    s_top > 0; any other value raises a ValueError naming its key.  n must
-    fit a float.
+    Recognized override keys: A, M, M_top, s_top.  Each value must be
+    finite, with A, M, M_top integers >= 1 and s_top > 0; any other value
+    raises a ValueError naming its key.  n must fit a float.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -155,17 +153,16 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan
         raise ValueError(f"unknown overrides: {sorted(unknown)}")
     for key, value in ov.items():
         lower, strict = _OVERRIDE_LOWER[key]
-        if not (_finite(value) and (value > lower if strict else value >= lower)):
-            raise ValueError(f"override {key} must be finite and {'>' if strict else '>='} "
-                             f"{lower}, got {value!r}")
+        if not (_finite(value) and (type(value) is int or key == "s_top")
+                and (value > lower if strict else value >= lower)):
+            raise ValueError(f"override {key} must be finite and {'an integer ' * (key != 's_top')}"
+                             f"{'>' if strict else '>='} {lower}, got {value!r}")
     desk = bool(ov)
 
-    a = int(ov.get("A", math.floor(n ** (1.0 / (2 * (d - 1))))))
-    log_m = math.log(ov["M"]) if "M" in ov else float(ov.get("logM", 10.0 * a))
+    a = ov.get("A", math.floor(n ** (1.0 / (2 * (d - 1)))))
+    log_m = math.log(ov["M"]) if "M" in ov else 10.0 * a
     if "M_top" in ov:
         log_m_top = math.log(ov["M_top"])
-    elif "logM_top" in ov:
-        log_m_top = float(ov["logM_top"])
     elif desk:
         log_m_top = log_m
     else:

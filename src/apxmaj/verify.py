@@ -25,8 +25,8 @@ import numpy as np
 from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluator, enumeration_words,
                        exhaustive_table, random_input_words)
 from .errors import DimensionError, ParseError, ResourceLimitError
-from .gf2poly import (SparsePolyF2, _indices, from_truth_table, majority_words, to_truth_table,
-                      valid_words, variable_words)
+from .gf2poly import (TRUTH_TABLE_MAX_N, SparsePolyF2, _indices, from_truth_table, majority_words,
+                      to_truth_table, valid_words, variable_words)
 from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
@@ -42,14 +42,16 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("negative n")
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise DimensionError(f"table does not fit 2^{self.n} bits")
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "TruthTable":
         text = text.strip().lower().removeprefix("0x")
+        if n < 0:
+            raise ParseError(f"n must be >= 0, got {n}")
+        if n > TRUTH_TABLE_MAX_N:
+            raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}, got {n}")
         expected = max(1, (1 << n) // 4)
         if len(text) != expected:
             raise ParseError(f"expected {expected} hex digits for n={n}, got {len(text)}")

@@ -14,7 +14,7 @@ import apxmaj
 from apxmaj import compiler
 from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
-from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, RunConfig,
+from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                         _build_parser, main)
 
 from conftest import oracle_table_formula, random_formula
@@ -164,19 +164,12 @@ def test_max_n_flag_removed(workdir, capsys):
     assert run(["verify", "z.netlist", "--eps", "0.25", "--max-n", "5", "--out", "v"]) == EXIT_USAGE
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert errors == ["apxmaj: error: unrecognized arguments: --max-n 5"]
-    (workdir / "cfg.json").write_text(json.dumps({"max_n": 5}))
-    assert run(["--config", "cfg.json", "verify", "z.netlist", "--eps", "0.25",
-                "--out", "v"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: unknown config key 'max_n'\n"
     assert not (workdir / "v").exists()
 
 
 def test_threads_flag_removed(workdir, capsys):
     assert run(["degree", "--hex", "e8", "--n", "3", "--eps", "0.125",
                 "--threads", "4", "--out", "d"]) == EXIT_USAGE
-    (workdir / "cfg.json").write_text(json.dumps({"threads": 4}))
-    assert run(["--config", "cfg.json", "degree", "--hex", "e8", "--n", "3",
-                "--eps", "0.125", "--out", "d"]) == EXIT_USAGE
     assert not (workdir / "d").exists()
 
 
@@ -195,7 +188,7 @@ def _write_inputs(workdir):
 
 
 @pytest.mark.parametrize("command, flag", [(c, "--max-width") for c in SUBCOMMAND_ARGV]
-                         + [("synth", "--trials"), ("degree", "--trials")])
+                         + [("synth", "--trials"), ("degree", "--trials"), ("degree", "--seed")])
 def test_removed_flags_rejected(workdir, capsys, command, flag):
     _write_inputs(workdir)
     assert run(SUBCOMMAND_ARGV[command] + [flag, "5", "--out", "o"]) == EXIT_USAGE
@@ -204,29 +197,32 @@ def test_removed_flags_rejected(workdir, capsys, command, flag):
     assert not (workdir / "o").exists()
 
 
-@pytest.mark.parametrize("config, message", [
-    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
-    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-    ({"seed": True}, "seed must be an integer, got True"),
-    ({"out": 5}, "out must be a string, got 5"),
-    ([1, 2], "config file must hold a JSON object"),
-    ({"max_width": 5}, "unknown config key 'max_width'"),
-    ({"overrides": {"A": 3}}, "unknown config key 'overrides'"),
-], ids=["seed-text", "seed-fraction", "seed-bool", "out-int", "array", "max_width", "overrides"])
-@pytest.mark.parametrize("command", ["compile", "synth"])
-def test_bad_config_exits_2_with_one_line(workdir, capsys, command, config, message):
+def test_config_option_removed(workdir, capsys):
+    # seed, trials and out come from their flags only
     _write_inputs(workdir)
-    (workdir / "cfg.json").write_text(json.dumps(config))
+    (workdir / "c.json").write_text(json.dumps({"seed": 1, "trials": 10, "out": "o"}))
     before = sorted(workdir.iterdir())
-    assert run(["--config", "cfg.json"] + SUBCOMMAND_ARGV[command]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["--config", "c.json", "compile", "f.sexpr"]) == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("apxmaj: error: argument command:")
     assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("n, code, message", [
+    ("-1", EXIT_USAGE, "error: n must be >= 0, got -1"),
+    ("25", EXIT_RESOURCE, "resource cap: truth tables capped at n <= 24, got 25"),
+    ("100000", EXIT_RESOURCE, "resource cap: truth tables capped at n <= 24, got 100000"),
+])
+def test_degree_n_checked_before_hex(workdir, capsys, n, code, message):
+    assert run(["degree", "--hex", "e8", "--n", n, "--eps", "0.125", "--out", "d"]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (workdir / "d").exists()
 
 
 def test_degree_examples_and_cap(workdir):
     assert run(["degree", "--hex", "e8", "--n", "3", "--eps", "0.125", "--out", "d"]) == EXIT_OK
     doc = json.loads((workdir / "d/degree.json").read_text())
-    assert doc["degree"] == 2
+    assert doc["degree"] == 2 and "seed" not in doc  # the oracle draws nothing
     assert run(["degree", "--hex", "f" * 16, "--n", "6", "--eps", "0.125",
                 "--out", "d6"]) == EXIT_RESOURCE
 
@@ -371,18 +367,13 @@ def test_grid_values_of_each_kind_accepted(workdir):
     assert json.loads(Path("k/check_inequality.json").read_text())["checked"] == 4
 
 
-def test_config_file_provides_defaults(workdir):
-    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
-    (workdir / "cfg.json").write_text(json.dumps({"seed": 77, "trials": 128, "out": "cfgout"}))
-    assert run(["--config", "cfg.json", "compile", "f.sexpr"]) == EXIT_OK
-    doc = json.loads((workdir / "cfgout/recipe.json").read_text())
-    assert doc["seed"] == 77 and doc["trials"] == 128
-
-
 def test_unknown_override_rejected(workdir, capsys):
-    rc = run(["synth", "--n", "31", "--d", "2", "--eps", "0.25",
-              "--override", "Q=1", "--out", "x"])
-    assert rc == EXIT_USAGE
+    for key in ("Q", "logM", "logMtop", "logM_top"):
+        rc = run(["synth", "--n", "31", "--d", "2", "--eps", "0.25",
+                  "--override", f"A=3,M=64,{key}=3", "--out", "x"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown override key '{key}'\n"
+        assert not (workdir / "x").exists()
 
 
 NO_OUTPUT_NETLIST = "input x0\ninput x1\ng = AND x0 x1\n"
@@ -412,7 +403,7 @@ SETTINGS = {
     "compile": ["formula", "--seed", "--trials", "--out"],
     "synth": ["--n", "--d", "--eps", "--override", "--seed", "--out"],
     "verify": ["netlist", "--eps", "--mode", "--seed", "--trials", "--out"],
-    "degree": ["--hex", "--netlist", "--n", "--eps", "--seed", "--out"],
+    "degree": ["--hex", "--netlist", "--n", "--eps", "--out"],
     "check": ["kind", "--grid", "--seed", "--trials", "--out"],
 }
 
@@ -435,19 +426,19 @@ def test_parser_reuse_leaks_no_value(workdir, capsys):
         return code, capsys.readouterr(), files
 
     for command, argv in SUBCOMMAND_ARGV.items():
-        plain, seeded = outputs(argv), outputs(argv + ["--seed", "5"])
-        assert seeded != plain, command
+        flag = ["--eps", "0.25"] if command == "degree" else ["--seed", "5"]
+        plain, flagged = outputs(argv), outputs(argv + flag)
+        assert flagged != plain, command
         assert outputs(argv) == plain, command
-        assert outputs(argv + ["--seed", "5"]) == seeded, command
+        assert outputs(argv + flag) == flagged, command
 
 
 def test_settings_surface():
     parser = _build_parser()
-    assert _argument_names(parser) == ["--config", "command"]
+    assert _argument_names(parser) == ["command"]
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {cmd: _argument_names(sp) for cmd, sp in subparsers.choices.items()} == SETTINGS
-    assert sum(map(len, SETTINGS.values())) == 27
-    assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "trials", "out"]
+    assert sum(map(len, SETTINGS.values())) == 26
 
 
 def test_library_surface():
@@ -484,34 +475,32 @@ def test_format_flag_removed(workdir, capsys):
     assert not (workdir / "o").exists()
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["compile", "f.sexpr", "--trials", "0"], None),
-    (["compile", "f.sexpr", "--trials", "-3"], None),
-    (["compile", "f.sexpr", "--trials", "ten"], None),
-    (["verify", "z.netlist", "--eps", "0.25", "--mode", "mc", "--trials", "0"], None),
-    (["verify", "z.netlist", "--eps", "0.25", "--trials", "0"], None),
-    (["check", "lemma", "--trials", "0"], None),
-    (["compile", "f.sexpr"], {"trials": 0}),
-    (["compile", "f.sexpr"], {"trials": 2.5}),
-    (["check", "lemma"], {"trials": "100"}),
+@pytest.mark.parametrize("argv", [
+    ["compile", "f.sexpr", "--trials", "0"],
+    ["compile", "f.sexpr", "--trials", "-3"],
+    ["compile", "f.sexpr", "--trials", "ten"],
+    ["verify", "z.netlist", "--eps", "0.25", "--mode", "mc", "--trials", "0"],
+    ["verify", "z.netlist", "--eps", "0.25", "--trials", "0"],
+    ["check", "lemma", "--trials", "0"],
+    ["compile", "f.sexpr", "--trials", "2.0"],
+    ["compile", "f.sexpr", "--trials", "1e3"],
+    ["compile", "f.sexpr", "--trials", "True"],
 ], ids=["compile-0", "compile-negative", "compile-text", "verify-mc-0", "verify-exact-0",
-        "check-lemma-0", "config-0", "config-fraction", "config-string"])
-def test_trials_must_be_positive_integer(workdir, capsys, argv, config):
-    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
-    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
-    if config is not None:
-        (workdir / "cfg.json").write_text(json.dumps(config))
-        argv = ["--config", "cfg.json"] + argv
+        "check-lemma-0", "compile-fraction", "compile-exponent", "compile-bool"])
+def test_trials_must_be_positive_integer(workdir, capsys, argv):
+    _write_inputs(workdir)
     assert run(argv + ["--out", "o"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: trials must be")
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"apxmaj {argv[0]}: error: argument --trials: "
+                      f"must be a positive integer, got '{argv[-1]}'"]
     assert not (workdir / "o").exists()
 
 
 @pytest.mark.parametrize("override, key", [
     ("M=0", "M"), ("M=-4", "M"), ("A=3,M=64,stop=-1", "s_top"), ("A=0", "A"),
-    ("Mtop=0", "M_top"), ("logM=-1", "logM"), ("logMtop=inf", "logM_top"),
-    ("A=3,M=64,stop=nan", "s_top"),
+    ("Mtop=0", "M_top"), ("A=3,M=64,stop=nan", "s_top"),
+    ("A=3.5", "A"), ("A=True", "A"), ("M=16384.7", "M"), ("A=3,Mtop=64.0", "M_top"),
+    ("A=3,A=4", "A"), ("A=3,Mtop=64,M_top=64", "M_top"),
 ])
 def test_bad_override_value_exits_2(workdir, capsys, override, key):
     rc = run(["synth", "--n", "31", "--d", "3", "--eps", "0.25",
