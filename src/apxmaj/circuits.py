@@ -323,15 +323,11 @@ def parse_formula(text: str) -> FormulaNode:
             if pos >= len(toks):
                 raise ParseError("missing ')'", line, col)
             pos += 1  # consume ')'
-            if kind is GateKind.NOT and len(children) != 1:
-                raise ParseError("not takes exactly one argument", oline, ocol)
-            if kind is not GateKind.NOT and not children:
-                raise ParseError(f"{op} needs at least one argument", oline, ocol)
             if not root and kind is not GateKind.NOT and len(children) == 1:
                 raise ParseError("fan-in-1 gate feeding another gate", oline, ocol)
             try:
                 return FormulaNode(kind, tuple(children))
-            except ValueError as e:
+            except (ValueError, ParseError) as e:  # arity and fan-in, from __post_init__
                 raise ParseError(str(e), oline, ocol) from None
         elif tok == ")":
             raise ParseError("unexpected ')'", line, col)
@@ -518,17 +514,15 @@ class PackedEvaluator:
         self._const0_row = len(c.gates)
         self._const1_row = len(c.gates) + 1
         depths = c._gate_depths()
+        # a constant is the AND (CONST1) or OR (CONST0) of no operands, all padding
+        as_gate = {GateKind.CONST0: GateKind.OR, GateKind.CONST1: GateKind.AND}
         groups: dict[tuple[int, GateKind], list[int]] = {}
         for i, g in enumerate(c.gates):
-            if g.kind in LEAF_KINDS:
-                continue
-            groups.setdefault((depths[i], g.kind), []).append(i)
-        self.const_rows = [
-            (i, g.kind) for i, g in enumerate(c.gates) if g.kind in (GateKind.CONST0, GateKind.CONST1)
-        ]
+            if g.kind is not GateKind.INPUT:
+                groups.setdefault((depths[i], as_gate.get(g.kind, g.kind)), []).append(i)
         self.levels = []
         for (_, kind), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            t = max(len(c.gates[i].args) for i in members)
+            t = max(1, *(len(c.gates[i].args) for i in members))
             pad = self._const1_row if kind is GateKind.AND else self._const0_row
             idx = np.full((len(members), t), pad, dtype=np.int64)
             for r, i in enumerate(members):
@@ -542,8 +536,6 @@ class PackedEvaluator:
         v = np.zeros((self.n_rows, n_words), dtype=np.uint64)
         v[: self.circuit.n_inputs] = input_words
         v[self._const1_row] = ~np.uint64(0)
-        for i, kind in self.const_rows:
-            v[i] = 0 if kind is GateKind.CONST0 else ~np.uint64(0)
         for kind, members, idx in self.levels:
             if kind is GateKind.NOT:
                 v[members] = ~v[idx[:, 0]]

@@ -250,7 +250,7 @@ def _single_output_netlist(path: str):
 def cmd_verify(args) -> int:
     dag = _single_output_netlist(args.netlist)
     report = verify_mod.certify_approx_majority(dag, args.eps, args.mode, args.trials, args.seed)
-    verify_mod.emit_report({**vars(report), "seed": args.seed}, Path(args.out) / "certification.json",
+    verify_mod.emit_report(vars(report), Path(args.out) / "certification.json",
                            meta={"seed": args.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
           f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={args.seed}")
@@ -265,9 +265,10 @@ def cmd_degree(args) -> int:
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps)
-    verify_mod.emit_report(vars(cert), Path(args.out) / "degree.json")
+    witness = gf2poly.format_poly(cert.witness)
+    verify_mod.emit_report({**vars(cert), "witness": witness}, Path(args.out) / "degree.json")
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
-          f"witness={gf2poly.format_poly(cert.witness)}")
+          f"witness={witness}")
     return EXIT_OK
 
 
@@ -421,30 +422,25 @@ def _check_lemma(grid: dict, trials: int, seed: int) -> dict:
 
 def _lemma_tuples(count: int, seed: int):
     """Random tuples satisfying the lemma hypotheses (s >= 1 included; the
-    refined lower bound is not provable below that)."""
+    refined lower bound is not provable below that).
+
+    No draw is rejected, because each one satisfies them: n >= 11 and
+    gamma <= 0.1 give s_hi >= 5; m >= 2e^a gives center*(1 - gamma) >= 1.8,
+    so the low range of k is not empty; and a >= 3 ln 11 gives
+    center*(1 + gamma) <= m, so neither is the high one."""
     rng = rng_for(seed, "lemma-tuples")
-    made = 0
-    while made < count:
+    for i in range(count):
         n = int(rng.integers(11, 201))
         a = 3.0 * math.log(n) * (1.0 + rng.random())
         gamma = math.exp(rng.uniform(math.log(1.0 / n), math.log(0.1)))
-        s_hi = min(n, 0.5 / gamma) if made % 2 == 0 else n  # half the draws hit s*gamma <= 1/2
-        if s_hi < 1.0:
-            continue
+        s_hi = min(n, 0.5 / gamma) if i % 2 == 0 else n  # half the draws hit s*gamma <= 1/2
         s = rng.uniform(1.0, s_hi)
         m = int(math.ceil(math.exp(a) * math.exp(rng.uniform(math.log(2.0), math.log(1e4)))))
         center = m * math.exp(-a)
         if rng.random() < 0.5:
-            hi = math.floor(center * (1 - gamma))
-            if hi < 0:
-                continue
-            k = int(rng.integers(0, hi + 1))
+            k = int(rng.integers(0, math.floor(center * (1 - gamma)) + 1))
         else:
-            lo = math.ceil(center * (1 + gamma))
-            if lo > m:
-                continue
-            k = int(rng.integers(lo, m + 1))
-        made += 1
+            k = int(rng.integers(math.ceil(center * (1 + gamma)), m + 1))
         yield a, s, m, n, gamma, k
 
 

@@ -572,10 +572,7 @@ def _frac_json(fr: Fraction) -> dict:
     return {"num": fr.numerator, "den": fr.denominator, "value": float(fr)}
 
 
-def ledger_csv_rows(recipe: CompiledRecipe) -> list[list]:
-    rows: list[list] = [["node_id", "kind", "size_i", "parent_size", "eps_num", "eps_den",
-                         "k_or_t", "degree_bound"]]
-    for e in recipe.ledger():
-        rows.append([e.node_id, e.kind, e.size, e.parent_size,
-                     e.eps.numerator, e.eps.denominator, e.k_or_t, e.degree_bound])
-    return rows
+def ledger_csv_rows(recipe: CompiledRecipe) -> list[dict]:
+    return [{"node_id": e.node_id, "kind": e.kind, "size_i": e.size, "parent_size": e.parent_size,
+             "eps_num": e.eps.numerator, "eps_den": e.eps.denominator, "k_or_t": e.k_or_t,
+             "degree_bound": e.degree_bound} for e in recipe.ledger()]

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -313,49 +313,23 @@ def triangle_corollary_check(f: TruthTable, p: SparsePolyF2, eps: float) -> Tria
 
 def emit_report(results, out_path: str | Path, meta: dict | None = None) -> None:
     """Write results as JSON or CSV, by the path's suffix (`.json` or `.csv`;
-    any other raises ValueError).  Run metadata (timestamps etc.) goes to a
+    any other raises ValueError).  A CSV holds a list of dict rows, under the
+    first row's keys as header.  Run metadata (timestamps etc.) goes to a
     sidecar `<out>.meta.json` so reruns are byte-identical."""
     out_path = Path(out_path)
     if out_path.suffix not in (".json", ".csv"):
         raise ValueError(f"report path must end in .json or .csv, got '{out_path}'")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if out_path.suffix == ".json":
-        out_path.write_text(json.dumps(results, indent=2, sort_keys=True, default=_json_default) + "\n")
+        out_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     else:
         with out_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            for row in _csv_rows(results):
-                writer.writerow(row)
+            if results:
+                header = list(results[0])
+                writer.writerow(header)
+                writer.writerows([r.get(h) for h in header] for r in results)
     sidecar = dict(meta or {})
     sidecar["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     sidecar_path = out_path.with_name(out_path.name + ".meta.json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_rows(results) -> Iterable[list]:
-    if isinstance(results, dict):
-        yield ["key", "value"]
-        for k in sorted(results):
-            yield [k, results[k]]
-        return
-    rows = list(results)
-    if not rows:
-        return
-    if isinstance(rows[0], dict):
-        header = list(rows[0].keys())
-        yield header
-        for r in rows:
-            yield [r.get(h) for h in header]
-    else:
-        yield from rows
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, SparsePolyF2):
-        from .gf2poly import format_poly
-        return format_poly(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -116,6 +116,19 @@ def test_parse_formula_fanin1_chain_rejected():
     assert parse_formula("(or (not (not x0)) x1)").size == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(not x0 x1)", "NOT takes exactly 1 operand, got 2"),
+    ("(not)", "NOT takes exactly 1 operand, got 0"),
+    ("(and)", "AND needs at least 1 operand"),
+])
+def test_parse_formula_arity_names_the_operator(text, message):
+    # the arity check is FormulaNode's; the parser adds the operator's position
+    with pytest.raises(ParseError) as info:
+        parse_formula("; arity\n  " + text + "\n")
+    assert str(info.value) == f"line 2, col 4: {message}"
+    assert (info.value.line, info.value.col) == (2, 4)
+
+
 def test_netlist_roundtrip_isomorphic():
     text = "input a\ninput b\nt = XOR a b\nu = AND t b\noutput u\noutput t"
     c = parse_netlist(text)
@@ -181,6 +194,21 @@ def test_packed_evaluator_matches_scalar_eval(seed):
     for lane, x in enumerate(assignments):
         assert tuple(_lane(words, lane)) == eval_circuit(c, x)
         assert eval_circuit(c, x) == tuple(oracle_eval_dag(c, x))
+
+
+@pytest.mark.parametrize("gates, outputs", [
+    # only constants, each an output, one of them twice
+    ([(GateKind.CONST0, ()), (GateKind.CONST1, ()), (GateKind.CONST1, ())], (3, 4, 5, 3)),
+    # constants feeding NOT, XOR, AND and OR, and read as outputs
+    ([(GateKind.CONST0, ()), (GateKind.CONST1, ()), (GateKind.NOT, (3,)), (GateKind.XOR, (0, 4)),
+      (GateKind.XOR, (4, 4, 1)), (GateKind.AND, (2, 4)), (GateKind.OR, (3, 0)),
+      (GateKind.NOT, (4,)), (GateKind.XOR, (5, 10))], tuple(range(3, 12))),
+], ids=["constants-only", "constants-feed-gates"])
+def test_packed_evaluator_constants(gates, outputs):
+    c = CircuitDag(3, tuple([Gate(GateKind.INPUT)] * 3 + [Gate(k, a) for k, a in gates]), outputs)
+    words = PackedEvaluator(c).outputs(pack_lanes(3, list(range(8))))
+    for lane in range(8):
+        assert tuple(_lane(words, lane)) == eval_circuit(c, [lane >> i & 1 for i in range(3)])
 
 
 def test_packed_evaluator_identical_lanes(rng):

@@ -45,6 +45,16 @@ def test_compile_writes_artifacts(workdir):
     assert len(errors) == 1 + 4
 
 
+def test_compile_above_16_variables_writes_no_error_table(workdir, capsys):
+    # the error table needs the full-table sampler, which stops at 16 variables
+    (workdir / "f.sexpr").write_text("(xor x0 x16)\n")
+    assert run(["compile", "f.sexpr", "--out", "o", "--trials", "50"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("compiled: ") and "max_sampled_degree=" not in out
+    assert (workdir / "o/errors.csv").read_bytes() == b""
+    assert (workdir / "o/recipe.json").exists()
+
+
 def test_compile_depth2_child_budgets(workdir):
     (workdir / "f.sexpr").write_text("(or (and x0 x1) (and x2 x3))\n")
     assert run(["compile", "f.sexpr", "--out", "o", "--trials", "200"]) == EXIT_OK
@@ -159,6 +169,14 @@ def test_verify_exact_cap_checked_after_eps(workdir, capsys):
     assert not (workdir / "v").exists()
 
 
+def test_verify_records_the_seed_it_draws_from(workdir):
+    # exact mode enumerates every input and draws nothing, so it records no seed
+    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+    for mode, seed in (("exact", None), ("mc", 7)):
+        run(["verify", "z.netlist", "--eps", "0.5", "--mode", mode, "--seed", "7", "--out", mode])
+        assert json.loads((workdir / mode / "certification.json").read_text())["seed"] == seed
+
+
 def test_max_n_flag_removed(workdir, capsys):
     (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
     assert run(["verify", "z.netlist", "--eps", "0.25", "--max-n", "5", "--out", "v"]) == EXIT_USAGE
@@ -217,6 +235,18 @@ def test_degree_n_checked_before_hex(workdir, capsys, n, code, message):
     assert run(["degree", "--hex", "e8", "--n", n, "--eps", "0.125", "--out", "d"]) == code
     assert capsys.readouterr().err == message + "\n"
     assert not (workdir / "d").exists()
+
+
+def test_degree_hex_needs_n(workdir, capsys):
+    assert run(["degree", "--hex", "e8", "--eps", "0.125", "--out", "d"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --hex needs --n\n"
+    assert not (workdir / "d").exists()
+
+
+def test_no_subcommand_prints_help(workdir, capsys):
+    assert run([]) == EXIT_USAGE
+    out = capsys.readouterr().out
+    assert out.startswith("usage: apxmaj") and "{compile,synth,verify,degree,check}" in out
 
 
 def test_degree_examples_and_cap(workdir):

@@ -281,11 +281,22 @@ def test_formula_size_lower_bound_closed_form_d2():
     assert got == direct
 
 
+@pytest.mark.parametrize("d, lbs", [(2, [523, 5000, 20_000]), (3, [90_829, 10**6, 10**7])])
+def test_formula_size_lower_bound_doubles_then_bisects(d, lbs):
+    # every bound is above 3*C2^(d-1), the degree of size 1, so the search runs
+    for lb in lbs:
+        assert lb > 3 * C.C2 ** (d - 1)
+        s = C.formula_size_lower_bound(d, lb)
+        assert C.theoretical_degree(s, d - 1) >= lb > C.theoretical_degree(s - 1, d - 1), (d, lb)
+    # depth 2 gains 3*C2 per doubling: 10^7 is out of reach below 2^4096
+    assert C.formula_size_lower_bound(2, 10**7) == math.inf
+
+
 def test_ledger_csv_shape():
     r = C.compile_formula(parse_formula("(or (and x0 x1) x2)"))
     rows = C.ledger_csv_rows(r)
-    assert rows[0][0] == "node_id"
-    assert len(rows) == 1 + len(r.ledger())
+    assert list(rows[0])[0] == "node_id"
+    assert len(rows) == len(r.ledger())
     doc = C.recipe_to_json(r)
     assert doc["degree_bound"] == r.degree_bound
     assert doc["root"]["type"] == "gate"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
 from apxmaj import verify as V
+from apxmaj.compiler import compile_formula, ledger_csv_rows
 from apxmaj.circuits import (CircuitDag, Gate, GateKind, formula_to_dag, majority, parse_formula,
                              parse_netlist)
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
@@ -339,6 +340,19 @@ def test_emit_report_empty_and_csv(tmp_path):
     lines = (tmp_path / "degrees.csv").read_text().splitlines()
     assert lines[0] == "n,epsilon,degree"
     assert len(lines) == 3
+
+
+def test_emit_report_csv_bytes(tmp_path):
+    # header from the first row's keys, values in header order, None as an
+    # empty cell, csv's \r\n terminators
+    r = compile_formula(parse_formula("(or (and x0 x1) x2)"))
+    V.emit_report(ledger_csv_rows(r), tmp_path / "ledger.csv")
+    assert (tmp_path / "ledger.csv").read_bytes() == (
+        b"node_id,kind,size_i,parent_size,eps_num,eps_den,k_or_t,degree_bound\r\n"
+        b"0,or,3,3,1,16,4,180\r\n1,reduce,2,3,1,24,15,45\r\n2,and,2,3,1,8,3,3\r\n"
+        b"3,var,1,2,0,1,0,1\r\n4,var,1,2,0,1,0,1\r\n5,var,1,3,1,48,0,1\r\n")
+    V.emit_report([{"a": 1, "b": None}, {"b": "x", "a": 2.5}], tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n1,\r\n2.5,x\r\n"
 
 
 def test_emit_report_certification_json(tmp_path):
