@@ -2,8 +2,10 @@
 
 Two representations are used throughout the package:
 
-* :class:`CircuitDag` -- a topologically ordered gate list with shared
-  subterms and any number of outputs.  Size counts non-input, non-constant
+* :class:`CircuitDag` -- topologically ordered gates with shared subterms
+  and any number of outputs, held as arrays: a uint8 kind code per gate and
+  the operand ids in compressed sparse rows.  `CircuitDag.gates` derives
+  `Gate` objects from them for tests.  Size counts non-input, non-constant
   gates; depth counts gates along the longest leaf-to-output path.
 * :class:`FormulaNode` -- a tree.  Size counts leaves (variable/constant
   occurrences), matching the usual formula-size convention.
@@ -26,8 +28,9 @@ netlist writer emits the whole DAG.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,18 +58,27 @@ class GateKind(Enum):
 
 
 LEAF_KINDS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
-MONOTONE_KINDS = frozenset({GateKind.AND, GateKind.OR})
 
 
-def _check_arity(kind: GateKind, n_args: int) -> None:
+def _check_arity(kind: GateKind, n_args: int, error=ParseError) -> None:
+    """Raise error(message) if `kind` cannot take n_args operands."""
     if kind in LEAF_KINDS:
         if n_args != 0:
-            raise ParseError(f"{kind.value} takes no operands, got {n_args}")
+            raise error(f"{kind.value} takes no operands, got {n_args}")
     elif kind is GateKind.NOT:
         if n_args != 1:
-            raise ParseError(f"NOT takes exactly 1 operand, got {n_args}")
+            raise error(f"NOT takes exactly 1 operand, got {n_args}")
     elif n_args < 1:
-        raise ParseError(f"{kind.value} needs at least 1 operand")
+        raise error(f"{kind.value} needs at least 1 operand")
+
+
+KINDS = tuple(GateKind)  # a kind's code in CircuitDag.kinds is its index here
+_CODE = {k.name: i for i, k in enumerate(KINDS)}  # by the netlist spelling
+# the operand counts each kind code allows, and the kind each code evaluates
+# as: a constant is the AND (CONST1) or OR (CONST0) of no operands
+_ARITY = [(0, 0) if k in LEAF_KINDS else (1, 1) if k is GateKind.NOT else (1, 2**62) for k in KINDS]
+_MIN_ARGS, _MAX_ARGS = np.array(_ARITY).T
+_EVAL_AS = np.array([_CODE[{"CONST0": "OR", "CONST1": "AND"}.get(k.name, k.name)] for k in KINDS])
 
 
 @dataclass(frozen=True)
@@ -75,50 +87,108 @@ class Gate:
     args: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitDag:
-    """Gate list in topological order; ids 0..n_inputs-1 are the inputs."""
+    """Gates in topological order, held as arrays; ids 0..n_inputs-1 are the inputs.
+
+    Gate i has kind ``KINDS[kinds[i]]`` and the operand ids
+    ``operands[offsets[i]:offsets[i + 1]]`` (compressed sparse rows), each
+    below i.  Construction validates the arrays in a few vectorized passes;
+    `from_gates` builds them from `Gate` objects, and `gates` derives those
+    back for tests and oracles (no package path reads it).
+    """
 
     n_inputs: int
-    gates: tuple[Gate, ...]
+    kinds: np.ndarray     # uint8 kind code per gate
+    offsets: np.ndarray   # int64, one more than the gates, from 0
+    operands: np.ndarray  # int32 gate ids, row after row
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_inputs < 0:
+        """ValueError for the first gate that breaks a rule (checked in the order
+        INPUT placement, arity, operands), else for the first output out of range."""
+        try:
+            kinds, offsets, operands = (np.asarray(self.kinds, np.uint8), np.asarray(self.offsets, np.int64),
+                                        np.asarray(self.operands, np.int64))
+        except OverflowError:
+            raise ValueError("a kind code, offset or operand id is out of range") from None
+        n_inputs, n, lengths = self.n_inputs, len(kinds), offsets[1:] - offsets[:-1]
+        if n_inputs < 0:
             raise ValueError("negative input count")
-        for i, g in enumerate(self.gates):
-            if i < self.n_inputs:
-                if g.kind is not GateKind.INPUT:
-                    raise ValueError(f"gate {i} must be INPUT")
-            elif g.kind is GateKind.INPUT:
+        if n_inputs > n:
+            raise ValueError(f"{n_inputs} inputs but {n} gates")
+        if (kinds.ndim != 1 or offsets.shape != (n + 1,) or offsets[0] or (lengths < 0).any()
+                or offsets[-1] != len(operands) or (kinds >= len(KINDS)).any() or n > 2**31):
+            raise ValueError("kinds, offsets and operands are not compressed rows of known gate kinds")
+        owner = _owners(offsets)
+        bad = ((kinds == _CODE["INPUT"]) != (np.arange(n) < n_inputs)) | (lengths < _MIN_ARGS[kinds])
+        bad |= lengths > _MAX_ARGS[kinds]
+        bad[owner[(operands < 0) | (operands >= owner)]] = True
+        for i in bad.nonzero()[0][:1].tolist():
+            kind = KINDS[kinds[i]]
+            if i < n_inputs and kind is not GateKind.INPUT:
+                raise ValueError(f"gate {i} must be INPUT")
+            if i >= n_inputs and kind is GateKind.INPUT:
                 raise ValueError(f"INPUT gate {i} after internal gates")
-            _check_arity(g.kind, len(g.args))
-            for a in g.args:
-                if not 0 <= a < i:
-                    raise ValueError(f"gate {i} references {a}, not topological")
+            _check_arity(kind, int(lengths[i]), ValueError)
+            a = next(a for a in operands[offsets[i] : offsets[i + 1]].tolist() if not 0 <= a < i)
+            raise ValueError(f"gate {i} references {a}, not topological")
         for o in self.outputs:
-            if not 0 <= o < len(self.gates):
+            if not 0 <= o < n:
                 raise ValueError(f"output {o} out of range")
+        for name, value in zip(("kinds", "offsets", "operands", "outputs"),
+                               (kinds, offsets, operands.astype(np.int32), tuple(map(int, self.outputs)))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_gates(cls, n_inputs: int, gates: Sequence[Gate], outputs: Sequence[int]) -> CircuitDag:
+        return cls(n_inputs, [_CODE[g.kind.name] for g in gates],
+                   np.cumsum([0] + [len(g.args) for g in gates]), [a for g in gates for a in g.args], outputs)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        ops, off = self.operands.tolist(), self.offsets.tolist()
+        return tuple(Gate(KINDS[k], tuple(ops[lo:hi])) for k, lo, hi in zip(self.kinds.tolist(), off, off[1:]))
+
+    def __eq__(self, other) -> bool:  # arrays make a DAG unhashable
+        return isinstance(other, CircuitDag) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def size(self) -> int:
-        return sum(1 for g in self.gates if g.kind not in LEAF_KINDS)
+        return int(np.count_nonzero(_MIN_ARGS[self.kinds]))  # the gates that take operands
 
     @property
     def depth(self) -> int:
-        d = self._gate_depths()
-        return max((d[o] for o in self.outputs), default=0)
-
-    def _gate_depths(self) -> list[int]:
-        d = [0] * len(self.gates)
-        for i, g in enumerate(self.gates):
-            if g.kind not in LEAF_KINDS:
-                d[i] = 1 + max((d[a] for a in g.args), default=0)
-        return d
+        return int(self._depths[list(self.outputs)].max(initial=0))
 
     def is_monotone(self) -> bool:
         """True iff every internal gate is AND/OR (no NOT, no XOR)."""
-        return all(g.kind in MONOTONE_KINDS or g.kind in LEAF_KINDS for g in self.gates)
+        return not np.isin(self.kinds, [_CODE["NOT"], _CODE["XOR"]]).any()
+
+    @cached_property
+    def _runs(self) -> list[slice]:
+        """Operand slices of the maximal id ranges whose gates read only gates
+        before the range (a synthesized circuit's levels, a chain's single
+        gates), so each range is levelized or swept in one vectorized step."""
+        last = np.full(len(self.kinds), -1, dtype=np.int64)  # highest operand id per gate
+        rows = (self.offsets[1:] != self.offsets[:-1]).nonzero()[0]
+        if rows.size:
+            last[rows] = np.maximum.reduceat(self.operands, self.offsets[rows])
+        starts, start = [0], 0
+        for i, top in enumerate(last.tolist()):
+            if top >= start:
+                starts.append(start := i)
+        off = self.offsets.tolist()
+        return [slice(off[a], off[b]) for a, b in zip(starts, starts[1:] + [len(self.kinds)])]
+
+    @cached_property
+    def _depths(self) -> np.ndarray:
+        """Gates along the longest path from a leaf to each gate (0 at leaves)."""
+        depths, owner = np.zeros(len(self.kinds), dtype=np.int64), _owners(self.offsets)
+        for edges in self._runs:
+            np.maximum.at(depths, owner[edges], depths[self.operands[edges]] + 1)
+        return depths
 
     def cone(self) -> "CircuitDag":
         """The output cone: the sub-DAG of the gates that reach an output.
@@ -128,21 +198,24 @@ class CircuitDag:
         live gates keep their topological order and are renumbered densely;
         outputs keep their order, repeats included.
         """
-        live = bytearray(len(self.gates))
-        for o in self.outputs:
-            live[o] = 1
-        for i in range(len(self.gates) - 1, self.n_inputs - 1, -1):
-            if live[i]:
-                for a in self.gates[i].args:
-                    live[a] = 1
-        new_id = list(range(self.n_inputs)) + [-1] * (len(self.gates) - self.n_inputs)
-        gates = list(self.gates[: self.n_inputs])
-        for i in range(self.n_inputs, len(self.gates)):
-            if live[i]:
-                new_id[i] = len(gates)
-                g = self.gates[i]
-                gates.append(Gate(g.kind, tuple(new_id[a] for a in g.args)))
-        return CircuitDag(self.n_inputs, tuple(gates), tuple(new_id[o] for o in self.outputs))
+        ops, owner = self.operands, _owners(self.offsets)
+        live = np.zeros(len(self.kinds), dtype=bool)
+        live[: self.n_inputs] = True
+        live[list(self.outputs)] = True
+        for edges in reversed(self._runs):
+            live[ops[edges][live[owner[edges]]]] = True
+        if live.all():  # no dead gate, as in a formula's DAG: the cone is the DAG itself
+            return self
+        new_id = np.cumsum(live) - 1
+        keep = live.nonzero()[0]
+        lengths = (self.offsets[1:] - self.offsets[:-1])[keep]
+        return CircuitDag(self.n_inputs, self.kinds[keep], np.cumsum([0, *lengths]),
+                          new_id[ops[live[owner]]], tuple(new_id[list(self.outputs)].tolist()))
+
+
+def _owners(offsets: np.ndarray) -> np.ndarray:
+    """The gate id of every operand slot."""
+    return np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -202,95 +275,85 @@ def var(i: int) -> FormulaNode:
 # netlist grammar:  input NAME | NAME = KIND NAME... | output NAME
 
 def parse_netlist(text: str) -> CircuitDag:
-    input_names: list[str] = []
-    gate_rows: list[tuple[str, GateKind, list[str]]] = []
+    # names resolve as lines are read, input k to -1 - k and gate row j to j:
+    # the final ids, inputs first, wait for the input count
+    ids: dict[str, int] = {}
+    n_inputs = 0
+    kinds: list[int] = []
+    lengths: list[int] = []
+    operands: list[int | None] = []  # every gate's operands, row after row
+    later: list[tuple[int, str, int]] = []  # (slot, name, line) of operands not declared yet
     output_names: list[tuple[str, int]] = []
-    seen: set[str] = set()
+
+    def define(name: str, lineno: int) -> str:
+        if not _NAME_RE.match(name):
+            raise ParseError(f"invalid name '{name}'", lineno)
+        if name in ids:
+            raise ParseError(f"duplicate definition of '{name}'", lineno)
+        return name
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        toks = line.split()
         if toks[0] == "input":
             if len(toks) != 2:
                 raise ParseError("expected 'input <name>'", lineno)
-            name = toks[1]
-            _check_name(name, lineno)
-            if name in seen:
-                raise ParseError(f"duplicate definition of '{name}'", lineno)
-            seen.add(name)
-            input_names.append(name)
+            ids[define(toks[1], lineno)] = -1 - n_inputs
+            n_inputs += 1
         elif toks[0] == "output":
             if len(toks) != 2:
                 raise ParseError("expected 'output <name>'", lineno)
             output_names.append((toks[1], lineno))
         elif len(toks) >= 3 and toks[1] == "=":
-            name = toks[0]
-            _check_name(name, lineno)
-            if name in seen:
-                raise ParseError(f"duplicate definition of '{name}'", lineno)
-            try:
-                kind = GateKind[toks[2]]
-            except KeyError:
+            name = define(toks[0], lineno)
+            code = _CODE.get(toks[2])
+            if code is None:
                 col = raw.find(toks[2], raw.index("=") + 1) + 1
                 raise ParseError(f"unknown gate kind '{toks[2]}'", lineno, col)
-            if kind is GateKind.INPUT:
+            if code == _CODE["INPUT"]:
                 raise ParseError("INPUT is declared with 'input <name>'", lineno)
-            args = toks[3:]
-            try:
-                _check_arity(kind, len(args))
-            except ParseError as e:
-                raise ParseError(str(e), lineno) from None
-            seen.add(name)
-            gate_rows.append((name, kind, args))
+            lo, hi = _ARITY[code]
+            if not lo <= len(toks) - 3 <= hi:
+                _check_arity(KINDS[code], len(toks) - 3, lambda message: ParseError(message, lineno))
+            row = list(map(ids.get, toks[3:]))
+            if None in row:  # an input declared later, or an undefined name
+                later += [(len(operands) + k, t, lineno) for k, t in enumerate(toks[3:]) if row[k] is None]
+            operands += row
+            ids[name] = len(kinds)
+            kinds.append(code)
+            lengths.append(len(row))
         else:
             raise ParseError("expected 'input', 'output' or '<name> = <KIND> <operands>'", lineno)
 
-    ids: dict[str, int] = {name: i for i, name in enumerate(input_names)}
-    gates: list[Gate] = [Gate(GateKind.INPUT)] * len(input_names)
-    for name, kind, args in gate_rows:
-        # every key of ids was name-checked where it was defined
-        try:
-            gates.append(Gate(kind, tuple([ids[a] for a in args])))
-        except KeyError as e:
-            raise ParseError(f"undefined gate reference '{e.args[0]}' (must be declared earlier)",
-                             _definition_line(text, name)) from None
-        ids[name] = len(gates) - 1
+    for slot, name, lineno in later:
+        if ids.get(name, 0) >= 0:  # not an input: undefined, or a gate declared after its use
+            raise ParseError(f"undefined gate reference '{name}' (must be declared earlier)", lineno)
+        operands[slot] = ids[name]
+    codes = np.array(operands, dtype=np.int64)
     outputs = []
     for name, lineno in output_names:
         if name not in ids:
             raise ParseError(f"undefined output '{name}'", lineno)
-        outputs.append(ids[name])
-    return CircuitDag(len(input_names), tuple(gates), tuple(outputs))
-
-
-def _definition_line(text: str, name: str) -> int | None:
-    """Line defining gate `name`, looked up only on error: no line per gate row is kept."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if len(toks) >= 3 and toks[1] == "=" and toks[0] == name:
-            return lineno
-
-
-def _check_name(name: str, lineno: int) -> None:
-    if not _NAME_RE.match(name):
-        raise ParseError(f"invalid name '{name}'", lineno)
+        outputs.append(-1 - ids[name] if ids[name] < 0 else n_inputs + ids[name])
+    return CircuitDag(n_inputs, [_CODE["INPUT"]] * n_inputs + kinds, np.cumsum([0] * (n_inputs + 1) + lengths),
+                      np.where(codes < 0, -1 - codes, n_inputs + codes), tuple(outputs))
 
 
 def serialize_netlist(c: CircuitDag) -> str:
     """Canonical form: inputs x0..x{n-1}, gates g0.. in id order, sorted operands."""
-    names = [f"x{i}" for i in range(c.n_inputs)]
-    lines = [f"input x{i}" for i in range(c.n_inputs)]
-    for i in range(c.n_inputs, len(c.gates)):
-        g = c.gates[i]
-        name = f"g{i - c.n_inputs}"
-        names.append(name)
-        ops = " ".join(names[a] for a in sorted(g.args))
-        lines.append(f"{name} = {g.kind.value}" + (f" {ops}" if ops else ""))
-    for o in c.outputs:
-        lines.append(f"output {names[o]}")
-    return "\n".join(lines) + "\n"
+    n, n_gates, owner = c.n_inputs, len(c.kinds), _owners(c.offsets)
+    names = np.array([f" x{i}" for i in range(n)] + [f" g{j}" for j in range(n_gates - n)], dtype=object)
+    # each gate's head ("\ng<j> = <KIND>") followed by its operands (" <name>")
+    tokens = np.empty(n_gates - n + len(owner), dtype=object)
+    kind_names = [k.value for k in KINDS]
+    tokens[c.offsets[n:-1] + np.arange(n_gates - n)] = [
+        f"\ng{j} = {kind_names[k]}" for j, k in enumerate(c.kinds[n:].tolist())]
+    sorted_operands = np.sort(owner * n_gates + c.operands) - owner * n_gates  # within each gate
+    tokens[np.arange(len(owner)) + owner - n + 1] = names[sorted_operands]
+    body = "".join(tokens.tolist())[1:]
+    return ("".join(f"input x{i}\n" for i in range(n)) + body + "\n" * bool(body)
+            + "".join(f"output{names[o]}\n" for o in c.outputs)) or "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +441,13 @@ def serialize_formula(f: FormulaNode) -> str:
 def eval_circuit(c: CircuitDag, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != c.n_inputs:
         raise DimensionError(f"expected {c.n_inputs} input bits, got {len(x)}")
-    vals = [0] * len(c.gates)
-    for i, g in enumerate(c.gates):
-        k = g.kind
-        if k is GateKind.INPUT:
-            vals[i] = x[i] & 1
-        elif k is GateKind.CONST0:
-            vals[i] = 0
-        elif k is GateKind.CONST1:
-            vals[i] = 1
-        elif k is GateKind.NOT:
-            vals[i] = vals[g.args[0]] ^ 1
-        elif k is GateKind.AND:
-            v = 1
-            for a in g.args:
-                v &= vals[a]
-            vals[i] = v
-        elif k is GateKind.OR:
-            v = 0
-            for a in g.args:
-                v |= vals[a]
-            vals[i] = v
-        else:  # XOR
-            v = 0
-            for a in g.args:
-                v ^= vals[a]
-            vals[i] = v
+    ops, off = c.operands.tolist(), c.offsets.tolist()
+    vals: list[int] = []
+    for i, (code, lo, hi) in enumerate(zip(_EVAL_AS[c.kinds].tolist(), off, off[1:])):
+        k, bits = KINDS[code], [vals[a] for a in ops[lo:hi]]
+        vals.append(x[i] & 1 if k is GateKind.INPUT else 1 - bits[0] if k is GateKind.NOT
+                    else int(all(bits)) if k is GateKind.AND else int(any(bits)) if k is GateKind.OR
+                    else sum(bits) & 1)
     return tuple(vals[o] for o in c.outputs)
 
 
@@ -459,15 +503,15 @@ def unfold_to_formula(c: CircuitDag) -> FormulaNode:
         raise ValueError("unfold requires a single-output circuit")
 
     def build(i: int) -> FormulaNode:
-        g = c.gates[i]
-        if g.kind is GateKind.INPUT:
+        kind = KINDS[c.kinds[i]]
+        if kind is GateKind.INPUT:
             return FormulaNode(GateKind.INPUT, var=i)
-        if g.kind in (GateKind.CONST0, GateKind.CONST1):
-            return FormulaNode(g.kind)
-        children = tuple(build(a) for a in g.args)
-        if g.kind in (GateKind.AND, GateKind.OR, GateKind.XOR) and len(children) == 1:
+        if kind in (GateKind.CONST0, GateKind.CONST1):
+            return FormulaNode(kind)
+        children = tuple(build(a) for a in c.operands[c.offsets[i] : c.offsets[i + 1]].tolist())
+        if kind in (GateKind.AND, GateKind.OR, GateKind.XOR) and len(children) == 1:
             return children[0]
-        return FormulaNode(g.kind, children)
+        return FormulaNode(kind, children)
 
     return build(c.outputs[0])
 
@@ -486,7 +530,7 @@ def formula_to_dag(f: FormulaNode, n_vars: int | None = None) -> CircuitDag:
         return len(gates) - 1
 
     out = build(f)
-    return CircuitDag(n, tuple(gates), (out,))
+    return CircuitDag.from_gates(n, gates, (out,))
 
 
 def majority(x: Sequence[int]) -> int:
@@ -510,25 +554,29 @@ class PackedEvaluator:
 
     def __init__(self, c: CircuitDag):
         self.circuit = c
-        self.n_rows = len(c.gates) + 2  # two extra rows: const0, const1
-        self._const0_row = len(c.gates)
-        self._const1_row = len(c.gates) + 1
-        depths = c._gate_depths()
-        # a constant is the AND (CONST1) or OR (CONST0) of no operands, all padding
-        as_gate = {GateKind.CONST0: GateKind.OR, GateKind.CONST1: GateKind.AND}
-        groups: dict[tuple[int, GateKind], list[int]] = {}
-        for i, g in enumerate(c.gates):
-            if g.kind is not GateKind.INPUT:
-                groups.setdefault((depths[i], as_gate.get(g.kind, g.kind)), []).append(i)
-        self.levels = []
-        for (_, kind), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            t = max(1, *(len(c.gates[i].args) for i in members))
-            pad = self._const1_row if kind is GateKind.AND else self._const0_row
-            idx = np.full((len(members), t), pad, dtype=np.int64)
-            for r, i in enumerate(members):
-                a = c.gates[i].args
-                idx[r, : len(a)] = a
-            self.levels.append((kind, np.asarray(members, dtype=np.int64), idx))
+        n_gates = len(c.kinds)
+        self.n_rows = n_gates + 2  # two extra rows: const0, const1
+        self._const0_row = n_gates
+        self._const1_row = n_gates + 1
+        # non-input gates by (depth, kind evaluated as), ids ascending in a group
+        kind = _EVAL_AS[c.kinds]
+        gates = (c.kinds != _CODE["INPUT"]).nonzero()[0]
+        order = gates[np.lexsort((kind[gates], c._depths[gates]))]
+        starts = np.flatnonzero(np.diff(c._depths[order] * len(KINDS) + kind[order], prepend=-1))
+        ends = np.concatenate((starts[1:], [len(order)]))
+        width = np.maximum.reduceat(np.maximum((c.offsets[1:] - c.offsets[:-1])[order], 1), starts)
+        # each group's (gates, width) operand matrix is a slice of one buffer, padded
+        # with the identity of its operation: const1 for AND, const0 for OR and XOR
+        slots = np.repeat(width, ends - starts)
+        first = np.cumsum(slots) - slots  # each gate's first slot
+        buffer = np.repeat(np.where(kind[order] == _CODE["AND"], self._const1_row, self._const0_row), slots)
+        rank = np.empty(n_gates, dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        owner = _owners(c.offsets)
+        buffer[first[rank[owner]] + np.arange(len(owner)) - c.offsets[owner]] = c.operands
+        self.levels = [(KINDS[k], order[s:e], buffer[b : b + (e - s) * w].reshape(e - s, w))
+                       for k, s, e, b, w in zip(kind[order[starts]].tolist(), starts.tolist(), ends.tolist(),
+                                                first[starts].tolist(), width.tolist())]
 
     def run(self, input_words: np.ndarray) -> np.ndarray:
         """input_words: (n_inputs, n_words) uint64.  Returns (n_gates+2, n_words)."""

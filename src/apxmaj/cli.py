@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
     verify_mod.emit_report(vars(report), Path(args.out) / "certification.json",
                            meta={"seed": args.seed})
     print(f"{'PASS' if report.passed else 'FAIL'}: disagreement={report.disagreement:.6f} "
-          f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={args.seed}")
+          f"ci=[{report.ci_lo:.6f}, {report.ci_hi:.6f}] trials={report.trials} seed={report.seed}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitDag, Gate, GateKind, PackedEvaluator, pack_lanes
+from .circuits import KINDS, CircuitDag, GateKind, PackedEvaluator, pack_lanes
 from .errors import ApxMajError, ResourceLimitError
 from .gf2poly import _as_mask
 from .rng import derive_seed, rng_for
@@ -261,20 +261,21 @@ def synth(p: SynthPlan, seed: int) -> SynthResult:
     blockers = p.synth_blockers()
     if blockers:
         raise ResourceLimitError("; ".join(blockers))
-    gates: list[Gate] = [Gate(GateKind.INPUT)] * p.n
-    ranges: list[tuple[int, int]] = []
-    prev_start, prev_count = 0, p.n
+    kinds, lengths, operands = [np.full(p.n, KINDS.index(GateKind.INPUT))], [np.zeros(p.n, np.int64)], []
+    ranges = [(0, p.n)]  # the inputs, then each level's gate ids
     for spec in p.levels:
-        rng = rng_for(seed, "level", spec.index)
-        draws = rng.integers(0, prev_count, size=(spec.width, spec.fan_in), dtype=np.int64)
-        start = len(gates)
-        for row in draws:
-            args = tuple(sorted({prev_start + int(j) for j in row}))
-            gates.append(Gate(spec.kind, args))
-        ranges.append((start, len(gates)))
-        prev_start, prev_count = start, spec.width
-    dag = CircuitDag(p.n, tuple(gates), (len(gates) - 1,))
-    return SynthResult(plan=p, seed=seed, dag=dag, level_ranges=tuple(ranges))
+        (prev_start, start), rng = ranges[-1], rng_for(seed, "level", spec.index)
+        draws = rng.integers(0, start - prev_start, size=(spec.width, spec.fan_in), dtype=np.int64)
+        draws.sort(axis=1)
+        fresh = np.ones(draws.shape, dtype=bool)  # each row's operands sorted, repeats dropped
+        fresh[:, 1:] = draws[:, 1:] != draws[:, :-1]
+        kinds.append(np.full(spec.width, KINDS.index(spec.kind)))
+        lengths.append(fresh.sum(axis=1))
+        operands.append(prev_start + draws[fresh])
+        ranges.append((start, start + spec.width))
+    dag = CircuitDag(p.n, np.concatenate(kinds), np.cumsum(np.concatenate([[0], *lengths])),
+                     np.concatenate(operands), (ranges[-1][1] - 1,))
+    return SynthResult(plan=p, seed=seed, dag=dag, level_ranges=tuple(ranges[1:]))
 
 
 # ---------------------------------------------------------------------------

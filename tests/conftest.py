@@ -11,6 +11,7 @@ import pytest
 
 from apxmaj.circuits import CircuitDag, FormulaNode, Gate, GateKind
 from apxmaj.errors import DimensionError
+from apxmaj.rng import rng_for
 
 GATE_CHOICES = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT)
 
@@ -131,7 +132,25 @@ def random_dag(rng: np.random.Generator, n: int, max_gates: int = 12,
         args = tuple(int(v) for v in rng.choice(eligible, size=fanin, replace=False))
         gates.append(Gate(kind, args))
         depths.append(1 + max(depths[a] for a in args))
-    return CircuitDag(n, tuple(gates), (len(gates) - 1,))
+    return CircuitDag.from_gates(n, tuple(gates), (len(gates) - 1,))
+
+
+def reference_synth(p, seed: int) -> tuple[CircuitDag, tuple[tuple[int, int], ...]]:
+    """(dag, level_ranges) of `synthesis.synth` drawn row by row: the same
+    `rng_for(seed, "level", i)` draws, one `Gate` of sorted distinct operands
+    per row of each level's draw matrix."""
+    gates = [Gate(GateKind.INPUT)] * p.n
+    ranges = []
+    prev_start, prev_count = 0, p.n
+    for spec in p.levels:
+        rng = rng_for(seed, "level", spec.index)
+        draws = rng.integers(0, prev_count, size=(spec.width, spec.fan_in), dtype=np.int64)
+        start = len(gates)
+        for row in draws:
+            gates.append(Gate(spec.kind, tuple(sorted({prev_start + int(j) for j in row}))))
+        ranges.append((start, len(gates)))
+        prev_start, prev_count = start, spec.width
+    return CircuitDag.from_gates(p.n, tuple(gates), (len(gates) - 1,)), tuple(ranges)
 
 
 def random_assignment(rng: np.random.Generator, n: int) -> list[int]:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apxmaj.circuits import (
+    KINDS,
     CircuitDag,
     FormulaNode,
     Gate,
@@ -98,6 +101,84 @@ def test_parse_netlist_input_declared_after_use():
     assert c.n_inputs == 2
     assert c.gates[2] == Gate(GateKind.AND, (0, 1))
     assert c.outputs == (2,)
+
+
+I, C0, AND, OR, NOT, XOR = (GateKind.INPUT, GateKind.CONST0, GateKind.AND, GateKind.OR,
+                             GateKind.NOT, GateKind.XOR)
+
+
+@pytest.mark.parametrize("n_inputs, gates, outputs, message", [
+    (-1, [], (), "negative input count"),
+    (3, [(I, ()), (I, ())], (), "3 inputs but 2 gates"),
+    (2, [(I, ()), (AND, (0,))], (1,), "gate 1 must be INPUT"),
+    (1, [(I, ()), (NOT, (0,)), (I, ())], (1,), "INPUT gate 2 after internal gates"),
+    (1, [(I, ()), (C0, (0,))], (1,), "CONST0 takes no operands, got 1"),
+    (2, [(I, ()), (I, (0,))], (1,), "INPUT takes no operands, got 1"),
+    (1, [(I, ()), (NOT, ())], (1,), "NOT takes exactly 1 operand, got 0"),
+    (1, [(I, ()), (NOT, (0, 0))], (1,), "NOT takes exactly 1 operand, got 2"),
+    (1, [(I, ()), (AND, ())], (1,), "AND needs at least 1 operand"),
+    (1, [(I, ()), (OR, (0, -1))], (1,), "gate 1 references -1, not topological"),
+    (1, [(I, ()), (XOR, (0, 1))], (1,), "gate 1 references 1, not topological"),
+    (1, [(I, ()), (NOT, (0,)), (AND, (0, 3)), (C0, ())], (1,), "gate 2 references 3, not topological"),
+    (1, [(I, ()), (NOT, (0,))], (2,), "output 2 out of range"),
+    (1, [(I, ()), (NOT, (0,))], (-1,), "output -1 out of range"),
+    # the first faulty gate wins; within a gate, placement before arity before operands
+    (1, [(I, ()), (AND, ()), (I, ())], (7,), "AND needs at least 1 operand"),
+    (2, [(I, ()), (NOT, (5, 6))], (1,), "gate 1 must be INPUT"),
+    (1, [(I, ()), (NOT, (5, 6))], (1,), "NOT takes exactly 1 operand, got 2"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_circuit_dag_validation(n_inputs, gates, outputs, message):
+    # the same rules and messages whether a DAG is built from Gates or arrays
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CircuitDag.from_gates(n_inputs, [Gate(k, a) for k, a in gates], outputs)
+    kinds = [KINDS.index(k) for k, _ in gates]
+    offsets = np.cumsum([0] + [len(a) for _, a in gates])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CircuitDag(n_inputs, kinds, offsets, [x for _, a in gates for x in a], outputs)
+
+
+@pytest.mark.parametrize("kinds, offsets, operands", [
+    ([0, 5], [0, 0], [0]),     # one offset short
+    ([0, 5], [1, 1, 2], [0]),  # not from 0
+    ([0, 5], [0, 1, 0], [0]),  # decreasing
+    ([0, 5], [0, 0, 2], [0]),  # past the operands
+    ([0, 7], [0, 0, 1], [0]),  # no kind has code 7
+])
+def test_circuit_dag_rejects_malformed_arrays(kinds, offsets, operands):
+    with pytest.raises(ValueError, match="not compressed rows"):
+        CircuitDag(1, kinds, offsets, operands, (1,))
+
+
+@pytest.mark.parametrize("gates", [[(I, ()), (NOT, (2**70,))], [(I, ()), (NOT, (-(2**70),))]])
+def test_circuit_dag_rejects_ids_beyond_int64(gates):
+    with pytest.raises(ValueError, match="out of range"):
+        CircuitDag.from_gates(1, [Gate(k, a) for k, a in gates], (1,))
+
+
+def test_circuit_dag_arrays_and_gates_agree():
+    c = parse_netlist("input a\ninput b\nk = CONST1\nt = XOR b a k\nu = NOT t\noutput u\noutput a\n")
+    assert c.kinds.dtype == np.uint8 and c.offsets.dtype == np.int64 and c.operands.dtype == np.int32
+    assert [KINDS[k] for k in c.kinds] == [I, I, GateKind.CONST1, XOR, NOT]
+    assert c.offsets.tolist() == [0, 0, 0, 0, 3, 4] and c.operands.tolist() == [1, 0, 2, 3]
+    assert c.gates == (Gate(I), Gate(I), Gate(GateKind.CONST1), Gate(XOR, (1, 0, 2)), Gate(NOT, (3,)))
+    again = CircuitDag.from_gates(2, c.gates, c.outputs)
+    assert again == c
+    assert again != CircuitDag.from_gates(2, c.gates, (4,))
+    assert again != CircuitDag.from_gates(2, c.gates[:3] + (Gate(XOR, (0, 1, 2)), c.gates[4]), c.outputs)
+
+
+def test_deep_chain_levelizes_iteratively():
+    # 20,000 gates in one path: levelization that recursed would overflow the
+    # stack, and one quadratic in the number of levels would not finish
+    n, length = 3, 20_000
+    lines = [f"input x{i}" for i in range(n)] + ["g0 = NOT x0"]
+    lines += [f"g{j} = NOT g{j - 1}" if j % 2 == 0 else f"g{j} = XOR g{j - 1} x{j % n}"
+              for j in range(1, length)]
+    c = parse_netlist("\n".join(lines + [f"output g{length - 1}"]) + "\n")
+    assert c.depth == length and c.size == length
+    assert c.cone() == c
+    assert exhaustive_table(c) == sum(eval_circuit(c, [j >> i & 1 for i in range(n)])[0] << j
+                                      for j in range(1 << n))
 
 
 def test_parse_formula_examples():
@@ -205,7 +286,7 @@ def test_packed_evaluator_matches_scalar_eval(seed):
       (GateKind.NOT, (4,)), (GateKind.XOR, (5, 10))], tuple(range(3, 12))),
 ], ids=["constants-only", "constants-feed-gates"])
 def test_packed_evaluator_constants(gates, outputs):
-    c = CircuitDag(3, tuple([Gate(GateKind.INPUT)] * 3 + [Gate(k, a) for k, a in gates]), outputs)
+    c = CircuitDag.from_gates(3, tuple([Gate(GateKind.INPUT)] * 3 + [Gate(k, a) for k, a in gates]), outputs)
     words = PackedEvaluator(c).outputs(pack_lanes(3, list(range(8))))
     for lane in range(8):
         assert tuple(_lane(words, lane)) == eval_circuit(c, [lane >> i & 1 for i in range(3)])
@@ -223,7 +304,7 @@ def test_packed_evaluator_monotone_chain(rng):
     gates.append(Gate(GateKind.AND, (0, 1, 2)))
     gates.append(Gate(GateKind.OR, (3, 6)))
     gates.append(Gate(GateKind.OR, (4, 5, 7)))
-    c = CircuitDag(6, tuple(gates), (8,))
+    c = CircuitDag.from_gates(6, tuple(gates), (8,))
     chain = []
     x = [0] * 6
     chain.append(list(x))
@@ -261,7 +342,7 @@ def test_exhaustive_table_in_chunks_matches_oracle(rng):
         c = random_dag(rng, 15, max_gates=30)
         gates = c.gates + (Gate(GateKind.AND, (14, 13)),
                            Gate(GateKind.XOR, (c.outputs[0], len(c.gates))))
-        c = CircuitDag(15, gates, (len(gates) - 1,))
+        c = CircuitDag.from_gates(15, gates, (len(gates) - 1,))
         assert exhaustive_table(c) == oracle_table_dag(c)
 
 
@@ -285,7 +366,7 @@ def _random_dag_with_dead_gates(rng: np.random.Generator, n: int) -> CircuitDag:
     rng.shuffle(outputs)
     gates.append(Gate(GateKind.NOT, (len(gates) - 1,)))
     gates.append(Gate(GateKind.XOR, (0, len(gates) - 1)))
-    return CircuitDag(n, tuple(gates), tuple(outputs))
+    return CircuitDag.from_gates(n, tuple(gates), tuple(outputs))
 
 
 def test_cone_agrees_with_whole_dag(rng):

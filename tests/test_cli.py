@@ -177,6 +177,15 @@ def test_verify_records_the_seed_it_draws_from(workdir):
         assert json.loads((workdir / mode / "certification.json").read_text())["seed"] == seed
 
 
+def test_verify_prints_the_seed_it_records(workdir, capsys):
+    # the summary line and certification.json agree: exact mode draws nothing
+    (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
+    for mode, seed in (("exact", None), ("mc", 9)):
+        run(["verify", "z.netlist", "--eps", "0.5", "--mode", mode, "--seed", "9", "--out", mode])
+        assert capsys.readouterr().out.rstrip().endswith(f" seed={seed}")
+        assert json.loads((workdir / mode / "certification.json").read_text())["seed"] == seed
+
+
 def test_max_n_flag_removed(workdir, capsys):
     (workdir / "z.netlist").write_text("input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
     assert run(["verify", "z.netlist", "--eps", "0.25", "--max-n", "5", "--out", "v"]) == EXIT_USAGE
@@ -455,8 +464,10 @@ def test_parser_reuse_leaks_no_value(workdir, capsys):
                  if not p.name.endswith(".meta.json")}
         return code, capsys.readouterr(), files
 
+    # exact-mode verify reads no --seed, so verify varies --mode instead
+    flags = {"degree": ["--eps", "0.25"], "verify": ["--mode", "mc"]}
     for command, argv in SUBCOMMAND_ARGV.items():
-        flag = ["--eps", "0.25"] if command == "degree" else ["--seed", "5"]
+        flag = flags.get(command, ["--seed", "5"])
         plain, flagged = outputs(argv), outputs(argv + flag)
         assert flagged != plain, command
         assert outputs(argv) == plain, command

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apxmaj import synthesis as S
-from apxmaj.circuits import GateKind, eval_circuit
+from apxmaj.circuits import GateKind, eval_circuit, serialize_netlist
 from apxmaj.errors import ResourceLimitError
 from apxmaj.rng import derive_seed, rng_for
 
-from conftest import oracle_eval_dag
+from conftest import oracle_eval_dag, reference_synth
 
 
 DESK = dict(n=101, d=3, eps=0.25, overrides={"A": 3, "M": 2**10, "M_top": 2**10})
@@ -150,6 +150,18 @@ def test_synth_desk_plan_shape():
     widths = [b - a for a, b in res.level_ranges]
     assert widths == [1024, 1024, 1]
     assert res.dag.size == sum(widths)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d, width", [(3, 2**14), (4, 2**12), (2, 2**10)], ids=["d3", "d4", "d2"])
+def test_synth_matches_per_row_reference(d, width, seed):
+    # the desk-resample plans and a d = 2 plan: same DAG, levels and netlist text
+    p = S.plan(101, d, 0.25, {"A": 3, "M": width, "M_top": width})
+    res = S.synth(p, seed)
+    dag, ranges = reference_synth(p, seed)
+    assert res.dag == dag
+    assert res.level_ranges == ranges
+    assert serialize_netlist(res.dag) == serialize_netlist(dag)
 
 
 def test_synth_refuses_oversized_widths():

@@ -235,7 +235,7 @@ def test_certify_exact_matches_brute_force(rng):
             out = len(c.gates) + 1
             gates = c.gates + (Gate(const), Gate(GateKind.XOR, (c.outputs[0], out - 1)),
                                Gate(GateKind.NOT, (out,)))  # the NOT is dead
-            c = CircuitDag(n, gates, (out,))
+            c = CircuitDag.from_gates(n, gates, (out,))
             table = oracle_table_dag(c)
             bad = sum(table >> j & 1 != majority([j >> i & 1 for i in range(n)])
                       for j in range(1 << n))
