@@ -8,7 +8,8 @@ against majority), degree (exhaustive approximate-degree oracle), check
 Every command is deterministic given its arguments and --seed; all emitted
 JSON is byte-stable across reruns (run timestamps live in `.meta.json`
 sidecars).  Exit codes: 0 success/pass, 1 verification failure, 2 usage or
-parse error, 3 resource cap exceeded.
+parse error, 3 resource cap exceeded, 4 internal error (a bug: any other
+exception, reported in one stderr line).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 # counted work one `check` sweep may take: inequality cases, gamma steps,
 # tail-mass terms; the built-in grids take 133,128, 3,224 and 8,310 of it
@@ -61,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # never a traceback, and never the verdict code 1
+        print(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 @functools.cache  # built on the first call to main, not at import
@@ -165,18 +170,20 @@ def cmd_compile(args) -> int:
     verify_mod.emit_report(compiler.ledger_csv_rows(recipe), out / "ledger.csv",
                            meta={"seed": args.seed})
 
-    rows = []
+    rows, max_deg = [], None  # the error table needs the full-table sampler
     if recipe.n <= 16:
-        tables = compiler.sample_tables(recipe, args.trials, args.seed)
         truth = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits
-        wrong = tables ^ np.frombuffer(truth.to_bytes(tables.shape[1], "little"), dtype=np.uint8)
-        errs = np.unpackbits(wrong, axis=-1, bitorder="little", count=1 << recipe.n).mean(axis=0)
-        degrees = compiler.table_degrees(tables, recipe.n)
-        for j in range(1 << recipe.n):
-            rows.append({"input": j, "empirical_error": float(errs[j])})
-        max_deg = int(degrees.max())
-    else:
-        max_deg = None  # error table needs the full-table sampler
+        truth = np.frombuffer(f"{truth:0{1 << recipe.n}b}".encode()[::-1], np.uint8) == ord("1")
+        wrong, max_deg = np.zeros(truth.shape, dtype=np.int64), 0
+        # one lane chunk at a time: per-input error counts and the largest
+        # degree are all that is kept
+        for c, start in enumerate(range(0, args.trials, compiler.LANE_CHUNK)):
+            lanes = min(compiler.LANE_CHUNK, args.trials - start)
+            tables = compiler.sample_tables(recipe, lanes, args.seed, c)
+            ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+            wrong += np.where(truth, lanes - ones, ones)
+            max_deg = max(max_deg, int(compiler.table_degrees(tables, recipe.n).max()))
+        rows = [{"input": j, "empirical_error": e} for j, e in enumerate((wrong / args.trials).tolist())]
     verify_mod.emit_report(rows, out / "errors.csv", meta={"seed": args.seed})
 
     print(f"compiled: size={recipe.formula_size} depth={recipe.formula_depth} "

@@ -12,12 +12,11 @@ The resulting root error is at most 1/16 + 1/16 = 1/8 on every input, and the
 certified degree bound obeys the closed form checked by
 :func:`theoretical_degree`.
 
-Sampling is deterministic in (seed, node path).  One traversal,
-:func:`_eval_node`, serves every sampler over one value algebra of packed
-uint64 words (`_PolyAlgebra` composes the same draws symbolically above
-n = 20).  :func:`sample` is the batch of one: its truth table is
-``sample_tables(recipe, 1, seed)[0]``, and :func:`eval_sample` evaluates that
-same polynomial at one point, at every n.
+Sampling is deterministic in (seed, node path, lane chunk).  One traversal,
+:func:`_eval_node`, serves every sampler over one bitsliced value algebra
+(row = input point, bit = sample; `_PolyAlgebra` composes the same draws
+symbolically above n = 20).  :func:`sample` is lane 0 of
+:func:`sample_tables`, and :func:`eval_sample` is its value at one point.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .gf2poly import (
     mobius_transform,
     mul,
     one,
-    table_words,
     valid_words,
     variable,
     variable_words,
@@ -59,6 +57,9 @@ C1 = 8.7
 C2 = 174.0
 
 SAMPLE_TABLE_MAX_N = 20
+# samples per lane chunk: each chunk draws its own subsets, and `compile`
+# holds one chunk's tables at a time, so its memory is flat in --trials
+LANE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,8 @@ def razborov_gate_recipe(kind: GateKind, eps: Fraction | float) -> GateApproxima
         return GateApproximator(kind, epsf, 0)
     if kind not in (GateKind.AND, GateKind.OR):
         raise ValueError(f"no approximator for gate kind {kind}")
-    k = _ceil_log2_ratio(epsf.denominator, epsf.numerator)
+    k = ((epsf.denominator - 1) // epsf.numerator).bit_length()  # least k, 2^k >= 1/eps
     return GateApproximator(kind, epsf, k)
-
-
-def _ceil_log2_ratio(num: int, den: int) -> int:
-    """Smallest k with 2^k >= num/den."""
-    k = 0
-    while den << k < num:
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -366,48 +359,54 @@ def formula_size_lower_bound(d: int, degree_lb: int) -> int | float:
 # ---------------------------------------------------------------------------
 # sampling: one traversal, two value algebras
 
-def _draw_subsets(seed: int, path: tuple, k: int, lanes: int, m: int) -> np.ndarray:
-    """(k, lanes, m) subset-selection bits of one gate, one row per sample."""
-    return rng_for(seed, *path, "subsets-batch").integers(0, 2, size=(k, lanes, m), dtype=np.uint8)
+def _draw_subsets(seed: int, path: tuple, k: int, m: int, words: int, chunk: int) -> np.ndarray:
+    """(k, m, words) selection bits of one gate in one lane chunk: bit l of
+    word [j, i, w] puts child i in factor j of sample 64w + l.  Drawn
+    word-major, so the first words do not depend on how many are drawn."""
+    raw = rng_for(seed, *path, "subset-lanes", chunk).bit_generator.random_raw(words * k * m)
+    return raw.reshape(words, k, m).transpose(1, 2, 0)
 
 
-class _WordAlgebra:
-    """Values are (lanes, W) uint64 words, one row per independent sample,
-    computed from given (n, W) input words; `full` masks the valid bits.
+_ONES = ~np.uint64(0)
 
-    On the enumeration words of :func:`variable_words` a row is a packed
-    truth table; on one word holding x it is the sample's value at x.
-    """
+
+class _LaneAlgebra:
+    """Bitsliced values (as in Biham's bitsliced DES): a (R, W) uint64 array,
+    row r for input point r, bit l of word w for sample 64w + l of lane chunk
+    `chunk`.  Variables (`columns`) and constants are (R, 1) columns that
+    broadcast over the lanes.  With `packed_rows` there is one sample, each
+    row packs 64 points as a truth-table word, and selection bits are spread
+    over the word."""
 
     xor = staticmethod(np.bitwise_xor)
     and_ = staticmethod(np.bitwise_and)
+    lnot = staticmethod(np.invert)
 
-    def __init__(self, inputs: np.ndarray, full: np.ndarray, lanes: int):
-        self.inputs = inputs
-        self.full = full
-        self.shape = (lanes, inputs.shape[1])
+    def __init__(self, columns: np.ndarray, words: int, chunk: int, packed_rows: bool = False):
+        self.columns = columns[:, :, None]
+        self.words = words
+        self.chunk = chunk
+        self.packed_rows = packed_rows
 
     def var(self, i: int) -> np.ndarray:
-        return np.broadcast_to(self.inputs[i], self.shape)
+        return self.columns[i]
 
     def const(self, b: int) -> np.ndarray:
-        return np.broadcast_to(self.full if b else np.zeros_like(self.full), self.shape)
-
-    def lnot(self, v):
-        return v ^ self.full
+        return np.full(self.columns.shape[1:], _ONES if b else 0, dtype=np.uint64)
 
     def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        return _draw_subsets(seed, path, k, self.shape[0], m)
+        words = _draw_subsets(seed, path, k, m, self.words, self.chunk)
+        return -(words & np.uint64(1)) if self.packed_rows else words
 
     def subset_parity(self, values, row) -> np.ndarray:
-        # row: (lanes, m) selection bits for this factor
-        acc = np.zeros(self.shape, dtype=np.uint64)
-        for i, v in enumerate(values):
-            acc ^= v & -row[:, i, None].astype(np.uint64)
+        # row: (m, W) selection words of this factor
+        acc = values[0] & row[0]
+        for v, s in zip(values[1:], row[1:]):
+            acc ^= v & s
         return acc
 
     def majority(self, copies) -> np.ndarray:
-        return majority_words(copies, self.full)
+        return majority_words(copies, _ONES)
 
 
 class _PolyAlgebra:
@@ -429,7 +428,7 @@ class _PolyAlgebra:
         return add(one(self.n), v)
 
     def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        return _draw_subsets(seed, path, k, 1, m)[:, 0]
+        return _draw_subsets(seed, path, k, m, 1, 0)[:, :, 0] & np.uint64(1)
 
     def subset_parity(self, values, row):
         return reduce(add, (v for v, b in zip(values, row) if b), zero(self.n))
@@ -466,63 +465,52 @@ def _eval_node(node: RecipeNode, alg, seed: int, path: tuple):
 
 
 def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
-    """Draw one polynomial: the batch of one, ``sample_tables(recipe, 1, seed)[0]``.
+    """Draw one polynomial: lane 0 of ``sample_tables(recipe, N, seed)`` for any N.
 
     Deterministic in seed, degree <= degree_bound.  Above n = 20 the same
     draws are composed symbolically.
     """
     n = recipe.n
     if n <= SAMPLE_TABLE_MAX_N:
-        row = sample_tables(recipe, 1, seed)[0]
-        return from_truth_table(int.from_bytes(row.tobytes(), "little"), n)
+        words = _eval_node(recipe.root, _LaneAlgebra(variable_words(n), 1, 0, packed_rows=True), seed, ())
+        return from_truth_table(int.from_bytes((words[:, 0] & valid_words(n)).tobytes(), "little"), n)
     return _eval_node(recipe.root, _PolyAlgebra(n), seed, ())
 
 
 def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial."""
-    inputs = pack_lanes(recipe.n, [_as_mask(recipe.n, x)])
-    alg = _WordAlgebra(inputs, np.ones(1, dtype=np.uint64), 1)
-    return int(_eval_node(recipe.root, alg, seed, ())[0, 0])
+    alg = _LaneAlgebra(pack_lanes(recipe.n, [_as_mask(recipe.n, x)]), 1, 0, packed_rows=True)
+    return int(_eval_node(recipe.root, alg, seed, ())[0, 0] & np.uint64(1))
 
 
-def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, max(1, 2^n/8)) packed truth tables of independent samples.
+def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int = 0) -> np.ndarray:
+    """(2^n, ceil(n_samples/64)) bitsliced truth tables of independent samples.
 
-    Each row is one sampled polynomial's function table (bit j = value at
-    assignment j, little-endian bytes); rows use independent draws derived
-    from the one seed.
+    Bit l of word w in row j is sample 64w + l's value at assignment j; bits
+    past n_samples are 0.  Samples are lanes of the sampler, numbered from
+    lane chunk `chunk` on: lane c * LANE_CHUNK + l draws from (seed, node
+    path, c), so a lane's polynomial does not depend on how many are drawn.
     """
     n = recipe.n
     if n > SAMPLE_TABLE_MAX_N:
         raise ResourceLimitError(f"batched sampling capped at n <= {SAMPLE_TABLE_MAX_N}")
-    alg = _WordAlgebra(variable_words(n), valid_words(n), n_samples)
-    words = _eval_node(recipe.root, alg, seed, ())
-    tables = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.ascontiguousarray(tables[:, : max(1, (1 << n) // 8)])
+    columns = -(np.arange(1 << n, dtype=np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & 1)
+    out = np.empty((1 << n, -(-n_samples // 64)), dtype=np.uint64)
+    for c, w in enumerate(range(0, out.shape[1], LANE_CHUNK // 64), chunk):
+        part = out[:, w:w + LANE_CHUNK // 64]
+        part[:] = _eval_node(recipe.root, _LaneAlgebra(columns, part.shape[1], c), seed, ())
+    out[:, -1:] &= _ONES >> np.uint64(-n_samples % 64)  # zero the lanes past n_samples
+    return out
 
 
 def table_degrees(tables: np.ndarray, n: int) -> np.ndarray:
-    """ANF degree of each packed table row (the layout of sample_tables)."""
-    rows = np.ascontiguousarray(tables, dtype=np.uint8)
-    pad = 8 * table_words(n) - rows.shape[-1]
-    if pad:
-        rows = np.pad(rows, ((0, 0), (0, pad)))
-    coeffs = mobius_transform(rows.view("<u8"), n)
-    masks = _weight_words(n)
-    degrees = np.zeros(len(coeffs), dtype=np.uint8)
-    for d in range(1, n + 1):
-        degrees[(coeffs & masks[d]).any(axis=1)] = d
-    return degrees
-
-
-def _weight_words(n: int) -> np.ndarray:
-    """(n+1, W) masks: row d selects the table entries of Hamming weight d."""
-    out = np.zeros((n + 1, table_words(n)), dtype=np.uint64)
-    cols = np.arange(out.shape[1])
-    for e in range(min(n, 6) + 1):
-        low = sum(1 << b for b in range(min(64, 1 << n)) if b.bit_count() == e)
-        out[np.bitwise_count(cols) + e, cols] = low
-    return out
+    """ANF degree of every lane of bitsliced tables (the layout of
+    sample_tables): a (64 W,) uint8 array, 0 for lanes that are all 0."""
+    coeffs = mobius_transform(tables, n, axis=0)
+    weights = np.bitwise_count(np.arange(1 << n))
+    by_weight = np.stack([np.bitwise_or.reduce(coeffs[weights == d]) for d in range(n + 1)])
+    lanes = np.unpackbits(by_weight.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return (lanes * np.arange(n + 1, dtype=np.uint8)[:, None]).max(axis=0)
 
 
 # ---------------------------------------------------------------------------

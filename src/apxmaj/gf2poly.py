@@ -159,24 +159,29 @@ def from_truth_table(bits: int | Sequence[int], n: int) -> SparsePolyF2:
     return SparsePolyF2(n, frozenset(_set_bits(coeffs)))
 
 
-def mobius_transform(rows: np.ndarray, n: int) -> np.ndarray:
-    """XOR Moebius transform of packed truth tables along the last axis
-    (self-inverse).
+def mobius_transform(rows: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+    """XOR Moebius transform of truth tables (self-inverse), in their layout:
+    entry S of the result is the ANF coefficient of the monomial S.
 
-    rows: (..., W) uint64, W = table_words(n).  Returns the coefficient words:
-    bit S is the ANF coefficient of the monomial with variable set S.  For
-    i < 6 variable i pairs bits within a word (masked shift-XOR); for i >= 6
-    it pairs whole words.  Bits past 2^n never reach the first 2^n.
+    axis=-1: rows (..., W) uint64 packed tables, W = table_words(n); for
+    i < 6 variable i pairs bits within a word (masked shift-XOR), for i >= 6
+    whole words.  Bits past 2^n never reach the first 2^n.  axis=0: rows
+    (2^n, ...) uint64, entry j in row j, each bit its own table (the
+    bitsliced layout of `compiler.sample_tables`); variable i pairs rows.
     """
-    words = table_words(n)
-    if rows.shape[-1] != words:
-        raise DimensionError(f"expected {words} words for n={n}, got {rows.shape[-1]}")
+    if axis not in (0, -1):
+        raise ValueError(f"axis must be 0 or -1, got {axis}")
+    size, first = (1 << n, 0) if axis == 0 else (table_words(n), 6)
+    if rows.shape[axis] != size:
+        raise DimensionError(f"expected {size} entries on axis {axis} for n={n}, "
+                             f"got {rows.shape[axis]}")
     a = np.array(rows, dtype=np.uint64)
-    for i in range(min(n, 6)):
+    for i in range(min(n, first)):
         a ^= (a << np.uint64(1 << i)) & _LOW_VARS[i]
-    for i in range(6, n):
-        v = a.reshape(-1, words >> (i - 5), 2, 1 << (i - 6))
-        v[:, :, 1, :] ^= v[:, :, 0, :]
+    block = a.size // size if axis == 0 else 1  # words per entry of the paired axis
+    for i in range(first, n):
+        v = a.reshape(-1, 2, block << (i - first))
+        v[:, 1] ^= v[:, 0]
     return a
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from apxmaj import compiler as C
 from apxmaj.circuits import CircuitDag, FormulaNode, Gate, GateKind
 from apxmaj.errors import DimensionError
 from apxmaj.rng import rng_for
@@ -86,6 +87,53 @@ def oracle_mobius_transform(rows: np.ndarray) -> np.ndarray:
         v = a.reshape(-1, size >> (i + 1), 2, 1 << i)
         v[:, :, 1, :] ^= v[:, :, 0, :]
     return a
+
+
+def lane_bits(tables: np.ndarray, lanes: int) -> np.ndarray:
+    """(lanes, 2^n) 0/1 uint8 of bitsliced tables (the layout of
+    `compiler.sample_tables`): row l is sample l's truth table."""
+    raw = np.ascontiguousarray(tables, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=lanes, bitorder="little").T
+
+
+def oracle_sample_value(recipe, x: int, seed: int, lane: int, draws: dict) -> int:
+    """Value at assignment x of sample `lane` of `compiler.sample_tables`,
+    one gate at a time from the definitions: an OR is 1 iff one of its k
+    factors has odd parity over the selected children, an AND is the same
+    over the negated children, negated; a reduction is a majority vote.
+
+    In lane chunk c = lane // LANE_CHUNK, the gate at `path` selects child i
+    for factor j iff bit l % 64 of raw word (l // 64) * k * m + j * m + i of
+    rng_for(seed, *path, "subset-lanes", c) is set (l = lane % LANE_CHUNK,
+    m children).  `draws` caches each gate's words of a whole chunk."""
+    chunk, lane_in_chunk = divmod(lane, C.LANE_CHUNK)
+    word, bit = divmod(lane_in_chunk, 64)
+
+    def value(node, path) -> int:
+        if isinstance(node, C.VarNode):
+            return x >> node.index & 1
+        if isinstance(node, C.ConstNode):
+            return node.bit
+        if isinstance(node, C.ReduceNode):
+            votes = sum(value(node.child, path + ("copy", c)) for c in range(node.t))
+            return int(2 * votes > node.t)
+        ys = [value(c, path + ("ch", i)) for i, c in enumerate(node.children)]
+        if node.kind is GateKind.NOT:
+            return 1 - ys[0]
+        if node.kind is GateKind.XOR:
+            return sum(ys) % 2
+        k, m = node.approx.k, len(ys)
+        if (path, chunk) not in draws:
+            gen = rng_for(seed, *path, "subset-lanes", chunk)
+            draws[path, chunk] = [int(v) for v in gen.bit_generator.random_raw(C.LANE_CHUNK // 64 * k * m)]
+        raw = draws[path, chunk]
+        if node.kind is GateKind.AND:
+            ys = [1 - y for y in ys]
+        hit = any(sum(y for i, y in enumerate(ys) if raw[(word * k + j) * m + i] >> bit & 1) % 2
+                  for j in range(k))
+        return int(hit) if node.kind is GateKind.OR else int(not hit)
+
+    return value(recipe.root, ())
 
 
 def random_formula(rng: np.random.Generator, n: int, depth: int,

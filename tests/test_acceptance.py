@@ -39,7 +39,8 @@ from apxmaj.circuits import GateKind, PackedEvaluator, formula_to_dag, parse_for
 from apxmaj.cli import _lemma_tuples
 from apxmaj.rng import rng_for
 
-from conftest import oracle_mobius_transform, oracle_table_formula, random_dag, random_formula
+from conftest import (lane_bits, oracle_mobius_transform, oracle_table_formula, random_dag,
+                      random_formula)
 
 # Pinned seeds: the Monte Carlo criteria are deterministic given these.
 SEED_C1 = 20250809
@@ -67,15 +68,14 @@ def test_c1_gate_approximator_exactness():
         f = parse_formula("(or " + " ".join(f"x{i}" for i in range(m)) + ")")
         recipe = C.compile_formula(f)
         tables = C.sample_tables(recipe, trials, seed=SEED_C1 + m)
-        for start in range(0, trials, 20_000):
-            degs = C.table_degrees(tables[start:start + 20_000], m)
+        for start in range(0, tables.shape[1], 320):  # 20,480 lanes at a time
+            degs = C.table_degrees(tables[:, start:start + 320], m)
             if int(degs.max()) > 3:
                 failures.append(f"m={m}: sampled degree {int(degs.max())} > 3")
-        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << m)
+        ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)  # samples = 1, per input
         errs = np.empty(1 << m)
-        errs[0] = bits[:, 0].mean()  # OR(0)=0, so a 1 is an error
-        ones = bits[:, 1:] == 0      # elsewhere OR=1, a 0 is an error
-        errs[1:] = ones.mean(axis=0)
+        errs[0] = ones[0] / trials  # OR(0)=0, so a 1 is an error
+        errs[1:] = (trials - ones[1:]) / trials  # elsewhere OR=1, a 0 is an error
         if errs[0] != 0.0:
             failures.append(f"m={m}: error at x=0 is {errs[0]}, want exactly 0")
         dev = np.abs(errs[1:] - 0.125)
@@ -106,9 +106,9 @@ def test_c1_companion_sound_statistics():
         f = parse_formula("(or " + " ".join(f"x{i}" for i in range(m)) + ")")
         recipe = C.compile_formula(f)
         tables = C.sample_tables(recipe, trials, seed=SEED_C1 + m)
-        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << m)
-        assert bits[:, 0].max() == 0  # one-sided: never wrong on all-zero
-        errs = (bits[:, 1:] == 0).mean(axis=0)
+        ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)  # samples = 1, per input
+        assert ones[0] == 0  # one-sided: never wrong on all-zero
+        errs = (trials - ones[1:]) / trials
         assert np.abs(errs - 0.125).max() <= z_family * sigma
         grand_err += errs.sum() * trials
         grand_n += errs.size * trials
@@ -157,7 +157,7 @@ def test_c2_compiler_end_to_end():
             failures.append(f"formula {fi}: sampled degree {int(degs.max())} "
                             f"> bound {recipe.degree_bound}")
         nbits = 1 << recipe.n
-        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=nbits)
+        bits = lane_bits(tables, 2000)
         truth = oracle_table_formula(f, recipe.n)
         tb = np.array([(truth >> j) & 1 for j in range(nbits)], dtype=np.uint8)
         errs = (bits != tb[None, :]).mean(axis=0)
@@ -303,11 +303,13 @@ def _conditional_disagreement(dag, trials: int, seed: int) -> float:
     for start in range(0, trials, block):
         chunk = weights[start:start + block]
         n_words = (len(chunk) + 63) // 64
-        words = np.zeros((n, n_words), dtype=np.uint64)
-        for lane, w in enumerate(chunk):
-            b, off = divmod(lane, 64)
-            for i in rng.permutation(n)[:w]:
-                words[i, b] |= np.uint64(1 << off)
+        # lane l sets the first chunk[l] inputs of its permutation, drawn in
+        # lane order: input i is among them iff its position is below chunk[l]
+        positions = np.argsort(np.stack([rng.permutation(n) for _ in chunk]), axis=1)
+        words = np.zeros((n, 8 * n_words), dtype=np.uint8)
+        packed = np.packbits((positions < chunk[:, None]).T, axis=1, bitorder="little")
+        words[:, :packed.shape[1]] = packed
+        words = words.view("<u8")
         out = ev.outputs(words)[0]
         lanes = np.unpackbits(out.view(np.uint8), bitorder="little")[: len(chunk)]
         maj = (chunk * 2 > n).astype(np.uint8)

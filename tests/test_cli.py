@@ -14,10 +14,10 @@ import apxmaj
 from apxmaj import compiler
 from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
-from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                        _build_parser, main)
+from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE,
+                        EXIT_USAGE, _build_parser, main)
 
-from conftest import oracle_table_formula, random_formula
+from conftest import lane_bits, oracle_table_formula, random_formula
 
 
 def run(argv):
@@ -66,6 +66,35 @@ def test_compile_depth2_child_budgets(workdir):
         assert (fields[4], fields[5]) == ("1", "32")  # budget 2/64 = 1/32
 
 
+def test_unexpected_exception_exits_4_with_one_line(workdir, capsys, monkeypatch):
+    def broken(formula):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(compiler, "compile_formula", broken)
+    (workdir / "f.sexpr").write_text("(or x0 x1)\n")
+    assert run(["compile", "f.sexpr", "--out", "o"]) == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_compile_memory_flat_in_trials(workdir):
+    # compile holds one lane chunk of tables at a time, so 4x the trials must
+    # not mean 4x the memory (peaks are 3.8 MB at both; a byte per sample and
+    # input, as a whole-batch unpack takes, would be 26 MB and 102 MB)
+    (workdir / "f.sexpr").write_text("(or " + " ".join(f"x{i}" for i in range(10)) + ")\n")
+    run(["compile", "f.sexpr", "--trials", "1", "--out", "o"])  # builds the parser outside the trace
+    peaks = []
+    for trials in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            assert run(["compile", "f.sexpr", "--trials", str(trials), "--out", "o"]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_compile_malformed_exits_2(workdir, capsys):
     (workdir / "bad.sexpr").write_text("(and (and x0))\n")
     assert run(["compile", "bad.sexpr", "--out", "o"]) == EXIT_USAGE
@@ -93,7 +122,7 @@ def test_compile_errors_match_unpacked_samples(workdir, n):
         assert run(["compile", "f.sexpr", "--seed", str(seed), "--trials", "300",
                     "--out", "o"]) == EXIT_OK
         tables = compiler.sample_tables(compiler.compile_formula(f), 300, seed)
-        bits = np.unpackbits(tables, axis=-1, bitorder="little", count=1 << n)
+        bits = lane_bits(tables, 300)
         truth = oracle_table_formula(f, n)
         wrong = [int((bits[:, j] != (truth >> j & 1)).sum()) for j in range(1 << n)]
         expected = [f"{j},{k / 300!r}" for j, k in enumerate(wrong)]

@@ -12,7 +12,7 @@ from apxmaj import gf2poly as g
 from apxmaj.circuits import GateKind, formula_to_dag, parse_formula
 from apxmaj.verify import TruthTable
 
-from conftest import oracle_table_formula, random_formula
+from conftest import lane_bits, oracle_sample_value, oracle_table_formula, random_formula
 
 
 # --------------------------------------------------------------- gate recipes
@@ -161,17 +161,43 @@ def test_sample_deterministic_and_consistent():
 
 
 def test_sample_is_the_batch_of_one(rng):
-    # one word algebra serves sample, eval_sample and sample_tables: the
-    # drawn polynomial's table is sample_tables(r, 1, s)[0], and its degree is
-    # what table_degrees reads off that packed row
+    # one lane algebra serves sample, eval_sample and sample_tables: the
+    # drawn polynomial's table is lane 0 of sample_tables(r, 1, s), and its
+    # degree is what table_degrees reads off that lane
     for _ in range(30):
         n = int(rng.integers(1, 9))
         r = C.compile_formula(random_formula(rng, n, int(rng.integers(1, 4)), max_size=16))
         s = int(rng.integers(2**32))
         p = C.sample(r, s)
-        row = C.sample_tables(r, 1, s)[0]
+        tables = C.sample_tables(r, 1, s)
+        row = np.packbits(lane_bits(tables, 1)[0], bitorder="little")
         assert g.to_truth_table(p) == int.from_bytes(row.tobytes(), "little")
-        assert int(C.table_degrees(row[None, :], r.n)[0]) == p.degree
+        assert int(C.table_degrees(tables, r.n)[0]) == p.degree
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 65, C.LANE_CHUNK + 3])
+def test_sample_tables_match_scalar_oracle(rng, lanes):
+    # every lane at two random points and every point of four lanes, against
+    # the gate-by-gate evaluator reading the same draw bits; lanes past the
+    # batch are 0, and lane 0 is sample() and eval_sample()
+    for _ in range(3):
+        r = C.compile_formula(random_formula(rng, int(rng.integers(1, 9)),
+                                             int(rng.integers(1, 3)), max_size=8))
+        n, s = r.n, int(rng.integers(2**32))
+        tables = C.sample_tables(r, lanes, s)
+        assert tables.shape == (1 << n, -(-lanes // 64))
+        bits = lane_bits(tables, 64 * tables.shape[1])
+        assert not bits[lanes:].any()
+        draws = {}
+        for lane in range(lanes):
+            for x in rng.integers(0, 1 << n, size=2):
+                assert bits[lane, x] == oracle_sample_value(r, int(x), s, lane, draws), (lane, x)
+        for lane in {0, 63 % lanes, lanes // 2, lanes - 1}:
+            want = [oracle_sample_value(r, x, s, lane, draws) for x in range(1 << n)]
+            assert bits[lane].tolist() == want, lane
+        p = C.sample(r, s)
+        assert [g.eval_poly(p, x) for x in range(1 << n)] == bits[0].tolist()
+        assert [C.eval_sample(r, x, s) for x in range(1 << n)] == bits[0].tolist()
 
 
 @pytest.mark.parametrize("kind", ["or", "and"])
@@ -195,7 +221,7 @@ def test_compiled_error_empirical(rng):
     f = parse_formula("(or (and x0 x1) (and x2 x3))")
     r = C.compile_formula(f)
     tables = C.sample_tables(r, 10_000, seed=77)
-    bits = np.unpackbits(tables, axis=-1, bitorder="little", count=16)
+    bits = lane_bits(tables, 10_000)
     truth = oracle_table_formula(f, 4)
     tb = np.array([(truth >> j) & 1 for j in range(16)], dtype=np.uint8)
     errs = (bits != tb[None, :]).mean(axis=0)
@@ -213,7 +239,7 @@ def test_compile_handles_constants_and_not_root():
     rn = C.compile_formula(notf)
     assert rn.err_bound <= 0.125
     tables = C.sample_tables(rn, 2000, seed=5)
-    bits = np.unpackbits(tables, axis=-1, bitorder="little", count=4)
+    bits = lane_bits(tables, 2000)
     truth = oracle_table_formula(notf, 2)
     tb = np.array([(truth >> j) & 1 for j in range(4)], dtype=np.uint8)
     assert (bits != tb[None, :]).mean(axis=0).max() <= 0.16

@@ -86,6 +86,20 @@ def test_packed_mobius_matches_uint8_oracle(rng, n):
     assert np.array_equal(g.mobius_transform(got, n), _pack_rows(bits, n))
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_mobius_row_axis_matches_word_axis(rng, n):
+    # the same 130 tables, packed one per row and bitsliced one per lane bit
+    bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
+    sliced = np.zeros((1 << n, 24), dtype=np.uint8)
+    sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
+    by_rows = g.mobius_transform(sliced.view("<u8"), n, axis=0)
+    lanes = np.unpackbits(by_rows.view(np.uint8), axis=1, count=130, bitorder="little").T
+    assert np.array_equal(_pack_rows(lanes, n), g.mobius_transform(_pack_rows(bits, n), n))
+    assert np.array_equal(g.mobius_transform(by_rows, n, axis=0), sliced.view("<u8"))
+    with pytest.raises(DimensionError):
+        g.mobius_transform(sliced.view("<u8")[1:], n, axis=0)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_bitsliced_majority_matches_lane_popcount(rng, n):
     rows = rng.integers(0, 1 << 63, size=(n, 5), dtype=np.uint64) << np.uint64(1)
