@@ -5,7 +5,6 @@ from .circuits import (
     CircuitDag,
     FormulaNode,
     GateKind,
-    eval_circuit,
     majority,
     parse_formula,
     parse_netlist,
@@ -24,7 +23,7 @@ from .compiler import (
     sample,
     theoretical_degree,
 )
-from .gf2poly import SparsePolyF2, add, eval_poly, from_truth_table, mul
+from .gf2poly import SparsePolyF2, add, eval_poly, from_truth_table
 from .synthesis import (
     SynthPlan,
     SynthResult,
@@ -43,7 +42,6 @@ from .verify import (
     certify_approx_majority,
     emit_report,
     min_approx_degree,
-    smolensky_table,
     triangle_corollary_check,
 )
 

@@ -10,11 +10,11 @@ Two representations are used throughout the package:
 * :class:`FormulaNode` -- a tree.  Size counts leaves (variable/constant
   occurrences), matching the usual formula-size convention.
 
-Evaluation has a scalar reference, `eval_circuit`, and one word evaluator,
-:class:`PackedEvaluator`, which batches gates level by level into numpy index
-matrices and evaluates 64 assignments per uint64 word.  `pack_lanes` packs
-assignments into its input words; `enumeration_words` yields those of every
-assignment, for `exhaustive_table` and exact certification.
+Evaluation has one word evaluator, :class:`PackedEvaluator`, which batches
+gates level by level into numpy index matrices and evaluates 64 assignments
+per uint64 word.  `pack_lanes` packs assignments into its input words;
+`enumeration_words` yields those of every assignment, for `exhaustive_table`
+and exact certification.
 
 `CircuitDag.cone` drops the gates that reach no output (dead-gate
 elimination, the "sweep" of logic synthesis).  Certification and exact
@@ -438,19 +438,6 @@ def serialize_formula(f: FormulaNode) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def eval_circuit(c: CircuitDag, x: Sequence[int]) -> tuple[int, ...]:
-    if len(x) != c.n_inputs:
-        raise DimensionError(f"expected {c.n_inputs} input bits, got {len(x)}")
-    ops, off = c.operands.tolist(), c.offsets.tolist()
-    vals: list[int] = []
-    for i, (code, lo, hi) in enumerate(zip(_EVAL_AS[c.kinds].tolist(), off, off[1:])):
-        k, bits = KINDS[code], [vals[a] for a in ops[lo:hi]]
-        vals.append(x[i] & 1 if k is GateKind.INPUT else 1 - bits[0] if k is GateKind.NOT
-                    else int(all(bits)) if k is GateKind.AND else int(any(bits)) if k is GateKind.OR
-                    else sum(bits) & 1)
-    return tuple(vals[o] for o in c.outputs)
-
-
 def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
     """(n, ceil(len(masks)/64)) uint64 input words, one assignment per lane:
     bit j of row i is bit i of masks[j]; lanes past the last mask are 0."""
@@ -546,7 +533,7 @@ class PackedEvaluator:
     """Levelized numpy evaluator: gates grouped by (depth, kind) and padded to
     a common fan-in so each level is a gather + reduction over uint64 lanes.
 
-    Bit j of every word is `eval_circuit` on lane j's assignment.  The
+    Bit j of every word is the circuit's value on lane j's assignment.  The
     package's only word evaluator: exact truth tables, Monte Carlo
     certification (10^5 assignments) and the per-level statistics of
     synthesized circuits (~2^15 gates) all run on it.

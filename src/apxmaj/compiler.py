@@ -12,11 +12,10 @@ The resulting root error is at most 1/16 + 1/16 = 1/8 on every input, and the
 certified degree bound obeys the closed form checked by
 :func:`theoretical_degree`.
 
-Sampling is deterministic in (seed, node path, lane chunk).  One traversal,
-:func:`_eval_node`, serves every sampler over one bitsliced value algebra
-(row = input point, bit = sample; `_PolyAlgebra` composes the same draws
-symbolically above n = 20).  :func:`sample` is lane 0 of
-:func:`sample_tables`, and :func:`eval_sample` is its value at one point.
+Sampling is deterministic in (seed, node path, lane chunk).  One bitsliced
+traversal, :func:`_eval_node`, serves every sampler (row = input point, bit =
+sample).  :func:`sample` is lane 0 of :func:`sample_tables`, capped at n <= 20
+as it is, and :func:`eval_sample` is that lane's value at one point, at any n.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,18 +33,11 @@ from .errors import ResourceLimitError
 from .gf2poly import (
     SparsePolyF2,
     _as_mask,
-    add,
-    elementary_symmetric_combine,
     from_truth_table,
-    majority_anf_coefficients,
     majority_words,
     mobius_transform,
-    mul,
-    one,
     valid_words,
-    variable,
     variable_words,
-    zero,
 )
 from .rng import rng_for
 
@@ -357,7 +349,7 @@ def formula_size_lower_bound(d: int, degree_lb: int) -> int | float:
 
 
 # ---------------------------------------------------------------------------
-# sampling: one traversal, two value algebras
+# sampling: one bitsliced traversal
 
 def _draw_subsets(seed: int, path: tuple, k: int, m: int, words: int, chunk: int) -> np.ndarray:
     """(k, m, words) selection bits of one gate in one lane chunk: bit l of
@@ -370,117 +362,66 @@ def _draw_subsets(seed: int, path: tuple, k: int, m: int, words: int, chunk: int
 _ONES = ~np.uint64(0)
 
 
-class _LaneAlgebra:
-    """Bitsliced values (as in Biham's bitsliced DES): a (R, W) uint64 array,
-    row r for input point r, bit l of word w for sample 64w + l of lane chunk
-    `chunk`.  Variables (`columns`) and constants are (R, 1) columns that
-    broadcast over the lanes.  With `packed_rows` there is one sample, each
-    row packs 64 points as a truth-table word, and selection bits are spread
-    over the word."""
+class _Lanes(NamedTuple):
+    """Bitsliced values (as in Biham's bitsliced DES) are (R, W) uint64
+    arrays: row r for input point r, bit l of word w for sample 64w + l of
+    lane chunk `chunk`.  Variables (the rows of `columns`) and constants are
+    (R, 1) columns that broadcast over the lanes.  With `packed_rows` there
+    is one sample, each row packs 64 points as a truth-table word, and
+    selection bits are spread over the word."""
 
-    xor = staticmethod(np.bitwise_xor)
-    and_ = staticmethod(np.bitwise_and)
-    lnot = staticmethod(np.invert)
+    columns: np.ndarray  # (n, R)
+    words: int
+    chunk: int
+    packed_rows: bool = False
 
-    def __init__(self, columns: np.ndarray, words: int, chunk: int, packed_rows: bool = False):
-        self.columns = columns[:, :, None]
-        self.words = words
-        self.chunk = chunk
-        self.packed_rows = packed_rows
 
-    def var(self, i: int) -> np.ndarray:
-        return self.columns[i]
-
-    def const(self, b: int) -> np.ndarray:
-        return np.full(self.columns.shape[1:], _ONES if b else 0, dtype=np.uint64)
-
-    def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        words = _draw_subsets(seed, path, k, m, self.words, self.chunk)
-        return -(words & np.uint64(1)) if self.packed_rows else words
-
-    def subset_parity(self, values, row) -> np.ndarray:
-        # row: (m, W) selection words of this factor
+def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.ndarray:
+    if isinstance(node, VarNode):
+        return lanes.columns[node.index, :, None]
+    if isinstance(node, ConstNode):
+        return np.full((lanes.columns.shape[1], 1), _ONES if node.bit else 0, dtype=np.uint64)
+    if isinstance(node, ReduceNode):
+        copies = [_eval_node(node.child, lanes, seed, path + ("copy", c)) for c in range(node.t)]
+        return majority_words(copies, _ONES)
+    values = [_eval_node(c, lanes, seed, path + ("ch", i)) for i, c in enumerate(node.children)]
+    kind = node.kind
+    if kind is GateKind.NOT:
+        return ~values[0]
+    if kind is GateKind.XOR:
+        return reduce(np.bitwise_xor, values)
+    subsets = _draw_subsets(seed, path, node.approx.k, len(values), lanes.words, lanes.chunk)
+    if lanes.packed_rows:
+        subsets = -(subsets & np.uint64(1))
+    if kind is GateKind.AND:
+        values = [~v for v in values]
+    product = None
+    for row in subsets:  # (m, W) selection words of one factor
         acc = values[0] & row[0]
         for v, s in zip(values[1:], row[1:]):
             acc ^= v & s
-        return acc
-
-    def majority(self, copies) -> np.ndarray:
-        return majority_words(copies, _ONES)
-
-
-class _PolyAlgebra:
-    """Values are SparsePolyF2; multilinear reduction keeps ANF canonical."""
-
-    xor = staticmethod(add)
-    and_ = staticmethod(mul)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def var(self, i):
-        return variable(self.n, i)
-
-    def const(self, b):
-        return one(self.n) if b else zero(self.n)
-
-    def lnot(self, v):
-        return add(one(self.n), v)
-
-    def draw_subsets(self, seed: int, path: tuple, k: int, m: int) -> np.ndarray:
-        return _draw_subsets(seed, path, k, m, 1, 0)[:, :, 0] & np.uint64(1)
-
-    def subset_parity(self, values, row):
-        return reduce(add, (v for v, b in zip(values, row) if b), zero(self.n))
-
-    def majority(self, copies):
-        t = len(copies)
-        return elementary_symmetric_combine(majority_anf_coefficients(t), copies)
-
-
-def _eval_node(node: RecipeNode, alg, seed: int, path: tuple):
-    if isinstance(node, VarNode):
-        return alg.var(node.index)
-    if isinstance(node, ConstNode):
-        return alg.const(node.bit)
-    if isinstance(node, ReduceNode):
-        copies = [
-            _eval_node(node.child, alg, seed, path + ("copy", c)) for c in range(node.t)
-        ]
-        return alg.majority(copies)
-    values = [
-        _eval_node(c, alg, seed, path + ("ch", i)) for i, c in enumerate(node.children)
-    ]
-    kind = node.kind
-    if kind is GateKind.NOT:
-        return alg.lnot(values[0])
-    if kind is GateKind.XOR:
-        return reduce(alg.xor, values)
-    subsets = alg.draw_subsets(seed, path, node.approx.k, len(values))
-    if kind is GateKind.AND:
-        values = [alg.lnot(v) for v in values]
-    factors = [alg.lnot(alg.subset_parity(values, subsets[j])) for j in range(node.approx.k)]
-    product = reduce(alg.and_, factors)
-    return product if kind is GateKind.AND else alg.lnot(product)
+        np.invert(acc, out=acc)  # the factor 1 + <S_j, y>
+        product = acc if product is None else np.bitwise_and(product, acc, out=product)
+    return product if kind is GateKind.AND else np.invert(product, out=product)
 
 
 def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
     """Draw one polynomial: lane 0 of ``sample_tables(recipe, N, seed)`` for any N.
 
-    Deterministic in seed, degree <= degree_bound.  Above n = 20 the same
-    draws are composed symbolically.
+    Deterministic in seed, degree <= degree_bound.  Capped at n <= 20, as
+    sample_tables is; eval_sample reads the same lane at any n.
     """
     n = recipe.n
-    if n <= SAMPLE_TABLE_MAX_N:
-        words = _eval_node(recipe.root, _LaneAlgebra(variable_words(n), 1, 0, packed_rows=True), seed, ())
-        return from_truth_table(int.from_bytes((words[:, 0] & valid_words(n)).tobytes(), "little"), n)
-    return _eval_node(recipe.root, _PolyAlgebra(n), seed, ())
+    if n > SAMPLE_TABLE_MAX_N:
+        raise ResourceLimitError(f"sampling capped at n <= {SAMPLE_TABLE_MAX_N}, got {n}")
+    words = _eval_node(recipe.root, _Lanes(variable_words(n), 1, 0, True), seed, ())
+    return from_truth_table(int.from_bytes((words[:, 0] & valid_words(n)).tobytes(), "little"), n)
 
 
 def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial."""
-    alg = _LaneAlgebra(pack_lanes(recipe.n, [_as_mask(recipe.n, x)]), 1, 0, packed_rows=True)
-    return int(_eval_node(recipe.root, alg, seed, ())[0, 0] & np.uint64(1))
+    lanes = _Lanes(pack_lanes(recipe.n, [_as_mask(recipe.n, x)]), 1, 0, True)
+    return int(_eval_node(recipe.root, lanes, seed, ())[0, 0] & np.uint64(1))
 
 
 def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int = 0) -> np.ndarray:
@@ -498,7 +439,7 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
     out = np.empty((1 << n, -(-n_samples // 64)), dtype=np.uint64)
     for c, w in enumerate(range(0, out.shape[1], LANE_CHUNK // 64), chunk):
         part = out[:, w:w + LANE_CHUNK // 64]
-        part[:] = _eval_node(recipe.root, _LaneAlgebra(columns, part.shape[1], c), seed, ())
+        part[:] = _eval_node(recipe.root, _Lanes(columns, part.shape[1], c), seed, ())
     out[:, -1:] &= _ONES >> np.uint64(-n_samples % 64)  # zero the lanes past n_samples
     return out
 

@@ -47,26 +47,10 @@ def one(n: int) -> SparsePolyF2:
     return SparsePolyF2(n, frozenset({0}))
 
 
-def variable(n: int, i: int) -> SparsePolyF2:
-    if not 0 <= i < n:
-        raise DimensionError(f"variable x{i} out of range for n={n}")
-    return SparsePolyF2(n, frozenset({1 << i}))
-
-
 def add(p: SparsePolyF2, q: SparsePolyF2) -> SparsePolyF2:
     if p.n != q.n:
         raise DimensionError(f"adding polynomials over {p.n} and {q.n} variables")
     return SparsePolyF2(p.n, p.monomials ^ q.monomials)
-
-
-def mul(p: SparsePolyF2, q: SparsePolyF2) -> SparsePolyF2:
-    if p.n != q.n:
-        raise DimensionError(f"multiplying polynomials over {p.n} and {q.n} variables")
-    acc: set[int] = set()
-    for a in p.monomials:
-        for b in q.monomials:
-            acc ^= {a | b}  # x^2 = x: union of index sets
-    return SparsePolyF2(p.n, frozenset(acc))
 
 
 def eval_poly(p: SparsePolyF2, x: Sequence[int] | int) -> int:
@@ -205,47 +189,6 @@ def to_truth_table(p: SparsePolyF2) -> int:
     np.bitwise_or.at(coeffs, monos >> np.uint64(6), np.uint64(1) << (monos & np.uint64(63)))
     vals = mobius_transform(coeffs, p.n)
     return int.from_bytes(vals.astype("<u8").tobytes(), "little")
-
-
-# ---------------------------------------------------------------------------
-# majority combiners
-
-def majority_anf_coefficients(m: int) -> list[int]:
-    """a_j for symmetric ANF of MAJ_m: MAJ_m = XOR over j with a_j=1 of e_j.
-
-    Inverts v_w = sum_j C(w,j) a_j (mod 2) via the self-inverse binomial
-    transform; parity of C(j,w) comes from Lucas' theorem (w AND ~j == 0).
-    """
-    if m % 2 == 0:
-        raise ValueError("majority combiner requires odd arity")
-    coeffs = []
-    for j in range(m + 1):
-        s = 0
-        for w in range((m + 1) // 2, j + 1):
-            if w & ~j == 0:  # C(j, w) odd
-                s ^= 1
-        coeffs.append(s)
-    return coeffs
-
-
-def elementary_symmetric_combine(coeffs: Sequence[int], qs: Sequence[SparsePolyF2]) -> SparsePolyF2:
-    """XOR over j with coeffs[j]=1 of e_j(q_1..q_t), computed by the standard
-    Newton-style DP in the multilinear quotient ring.  Avoids materializing
-    the combiner's own (huge) monomial list."""
-    t = len(qs)
-    if len(coeffs) != t + 1:
-        raise DimensionError("need t+1 coefficients for t substituents")
-    n = qs[0].n
-    top = max((j for j, a in enumerate(coeffs) if a), default=0)
-    e: list[SparsePolyF2] = [one(n)] + [zero(n)] * top
-    for q in qs:
-        for j in range(min(top, t), 0, -1):
-            e[j] = add(e[j], mul(e[j - 1], q))
-    acc = zero(n)
-    for j, a in enumerate(coeffs):
-        if a:
-            acc = add(acc, e[j])
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,6 @@ def _ball_level(n: int, basis: list[int], anf: SparsePolyF2,
     return best
 
 
-def smolensky_table(ns: Sequence[int], eps: float) -> list[tuple[int, int]]:
-    """(n, minimum approximate degree of MAJ_n at eps) for each n."""
-    return [(n, min_approx_degree(majority_truth_table(n), eps).degree) for n in ns]
-
-
 # ---------------------------------------------------------------------------
 # certification
 

@@ -521,12 +521,11 @@ def test_library_surface():
         "SparsePolyF2", "SynthPlan", "SynthResult", "TruthTable", "add", "bias_recurrence",
         "certify_approx_majority", "check_key_inequality", "check_technical_lemma",
         "compile_formula", "emit_report", "empirical_level_check", "error_reduce",
-        "eval_circuit", "eval_poly", "eval_sample", "formula_size_lower_bound",
-        "from_truth_table", "level_checks", "majority", "min_approx_degree", "mul",
-        "parse_formula", "parse_netlist", "plan", "razborov_gate_recipe",
-        "resample_until_valid", "sample", "serialize_formula", "serialize_netlist",
-        "smolensky_table", "synth", "tail_mass", "theoretical_degree",
-        "triangle_corollary_check", "unfold_to_formula"]
+        "eval_poly", "eval_sample", "formula_size_lower_bound", "from_truth_table",
+        "level_checks", "majority", "min_approx_degree", "parse_formula", "parse_netlist",
+        "plan", "razborov_gate_recipe", "resample_until_valid", "sample",
+        "serialize_formula", "serialize_netlist", "synth", "tail_mass",
+        "theoretical_degree", "triangle_corollary_check", "unfold_to_formula"]
     params = {f.__name__: list(inspect.signature(f).parameters)
               for f in (compiler.theoretical_degree, compiler.formula_size_lower_bound,
                         compiler.razborov_gate_recipe)}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from apxmaj import compiler as C
 from apxmaj import gf2poly as g
 from apxmaj.circuits import GateKind, formula_to_dag, parse_formula
+from apxmaj.errors import ResourceLimitError
 from apxmaj.verify import TruthTable
 
 from conftest import lane_bits, oracle_sample_value, oracle_table_formula, random_formula
@@ -161,7 +162,7 @@ def test_sample_deterministic_and_consistent():
 
 
 def test_sample_is_the_batch_of_one(rng):
-    # one lane algebra serves sample, eval_sample and sample_tables: the
+    # one traversal serves sample, eval_sample and sample_tables: the
     # drawn polynomial's table is lane 0 of sample_tables(r, 1, s), and its
     # degree is what table_degrees reads off that lane
     for _ in range(30):
@@ -201,13 +202,23 @@ def test_sample_tables_match_scalar_oracle(rng, lanes):
 
 
 @pytest.mark.parametrize("kind", ["or", "and"])
-def test_eval_sample_matches_poly_sampler_above_table_cap(rng, kind):
-    n = 22  # above SAMPLE_TABLE_MAX_N: sample() composes polynomials symbolically
+def test_eval_sample_matches_scalar_oracle_above_table_cap(rng, kind):
+    # above SAMPLE_TABLE_MAX_N, sample() and sample_tables() refuse, and
+    # eval_sample() still reads lane 0 at one point
+    n = 22
     r = C.compile_formula(parse_formula(f"({kind} " + " ".join(f"x{i}" for i in range(n)) + ")"))
     for s in (3, 4):
-        p = C.sample(r, s)
+        draws = {}
         for x in rng.integers(0, 1 << n, size=64):
-            assert C.eval_sample(r, int(x), s) == g.eval_poly(p, int(x))
+            assert C.eval_sample(r, int(x), s) == oracle_sample_value(r, int(x), s, 0, draws)
+
+
+def test_sample_capped_at_table_cap():
+    r = C.compile_formula(parse_formula("(or " + " ".join(f"x{i}" for i in range(21)) + ")"))
+    with pytest.raises(ResourceLimitError, match="n <= 20"):
+        C.sample(r, 1)
+    with pytest.raises(ResourceLimitError, match="n <= 20"):
+        C.sample_tables(r, 1, 1)
 
 
 def test_single_xor_recipe_has_no_randomness():

@@ -35,21 +35,9 @@ def test_add_examples():
     assert g.add(p, p) == g.zero(3)
 
 
-def test_mul_examples():
-    x0 = g.variable(2, 0)
-    assert g.mul(x0, x0) == x0
-    a = g.parse_poly("1 + x0", 2)
-    assert g.mul(a, a) == a
-    b = g.parse_poly("x0 + x1", 2)
-    assert g.mul(b, b) == b  # idempotence of a linear form's square, via table below
-    assert brute_table(g.mul(b, b)) == [x * y for x, y in zip(brute_table(b), brute_table(b))]
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         g.add(g.zero(2), g.zero(3))
-    with pytest.raises(DimensionError):
-        g.mul(g.one(2), g.one(4))
 
 
 def test_eval_examples():
@@ -151,24 +139,9 @@ def test_roundtrip_and_semantics(np_):
 def test_homomorphisms_and_degree_bounds(npq):
     n, p, q = npq
     s = g.add(p, q)
-    m = g.mul(p, q)
     tp, tq = brute_table(p), brute_table(q)
     assert brute_table(s) == [a ^ b for a, b in zip(tp, tq)]
-    assert brute_table(m) == [a & b for a, b in zip(tp, tq)]
     assert s.degree <= max(p.degree, q.degree)
-    assert m.degree <= p.degree + q.degree
-
-
-# -------------------------------------------------------------------- majority
-
-def test_elementary_symmetric_combine_matches_majority(rng):
-    coeffs = g.majority_anf_coefficients(5)
-    qs = [g.SparsePolyF2(3, frozenset(int(m) for m in rng.integers(0, 8, size=3)))
-          for _ in range(5)]
-    combined = g.elementary_symmetric_combine(coeffs, qs)
-    for j in range(8):
-        vals = [g.eval_poly(q, j) for q in qs]
-        assert g.eval_poly(combined, j) == int(sum(vals) > 2.5)
 
 
 # ------------------------------------------------------------------ text format

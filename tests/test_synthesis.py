@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apxmaj import synthesis as S
-from apxmaj.circuits import GateKind, eval_circuit, serialize_netlist
+from apxmaj.circuits import GateKind, serialize_netlist
 from apxmaj.errors import ResourceLimitError
 from apxmaj.rng import derive_seed, rng_for
 

@@ -192,7 +192,7 @@ def test_span_tables_is_reed_muller():
 
 
 def test_smolensky_table_nondecreasing():
-    tbl = V.smolensky_table([1, 2, 3, 4, 5], 0.125)
+    tbl = [(n, V.min_approx_degree(V.majority_truth_table(n), 0.125).degree) for n in range(1, 6)]
     degs = [d for _, d in tbl]
     assert degs == sorted(degs)
     assert tbl[0] == (1, 1)
@@ -334,8 +334,8 @@ def test_triangle_random_never_violated(rng):
 def test_emit_report_empty_and_csv(tmp_path):
     V.emit_report([], tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == ""
-    rows = [{"n": n, "epsilon": 0.125, "degree": d}
-            for n, d in V.smolensky_table([1, 3], 0.125)]
+    rows = [{"n": n, "epsilon": 0.125,
+             "degree": V.min_approx_degree(V.majority_truth_table(n), 0.125).degree} for n in (1, 3)]
     V.emit_report(rows, tmp_path / "degrees.csv")
     lines = (tmp_path / "degrees.csv").read_text().splitlines()
     assert lines[0] == "n,epsilon,degree"
