@@ -10,7 +10,6 @@ from .circuits import (
     parse_netlist,
     serialize_formula,
     serialize_netlist,
-    unfold_to_formula,
 )
 from .compiler import (
     CompiledRecipe,
@@ -42,7 +41,6 @@ from .verify import (
     certify_approx_majority,
     emit_report,
     min_approx_degree,
-    triangle_corollary_check,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ Two representations are used throughout the package:
 * :class:`CircuitDag` -- topologically ordered gates with shared subterms
   and any number of outputs, held as arrays: a uint8 kind code per gate and
   the operand ids in compressed sparse rows.  `CircuitDag.gates` derives
-  `Gate` objects from them for tests.  Size counts non-input, non-constant
-  gates; depth counts gates along the longest leaf-to-output path.
+  `Gate` objects from them; no package path reads that view, which stays
+  for the test oracles and the benchmark harness's reference counts.  Size
+  counts non-input, non-constant gates; depth counts gates along the longest
+  leaf-to-output path.
 * :class:`FormulaNode` -- a tree.  Size counts leaves (variable/constant
   occurrences), matching the usual formula-size convention.
 
@@ -94,8 +96,8 @@ class CircuitDag:
     Gate i has kind ``KINDS[kinds[i]]`` and the operand ids
     ``operands[offsets[i]:offsets[i + 1]]`` (compressed sparse rows), each
     below i.  Construction validates the arrays in a few vectorized passes;
-    `from_gates` builds them from `Gate` objects, and `gates` derives those
-    back for tests and oracles (no package path reads it).
+    `gates` derives `Gate` objects from them for tests, oracles and the
+    benchmark harness (no package path reads it).
     """
 
     n_inputs: int
@@ -139,11 +141,6 @@ class CircuitDag:
         for name, value in zip(("kinds", "offsets", "operands", "outputs"),
                                (kinds, offsets, operands.astype(np.int32), tuple(map(int, self.outputs)))):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_gates(cls, n_inputs: int, gates: Sequence[Gate], outputs: Sequence[int]) -> CircuitDag:
-        return cls(n_inputs, [_CODE[g.kind.name] for g in gates],
-                   np.cumsum([0] + [len(g.args) for g in gates]), [a for g in gates for a in g.args], outputs)
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -476,48 +473,25 @@ def enumeration_words(n: int):
         yield inputs[:, s : s + CHUNK_WORDS]
 
 
-# ---------------------------------------------------------------------------
-# transformations
-
-def unfold_to_formula(c: CircuitDag) -> FormulaNode:
-    """Expand a single-output DAG into a tree, duplicating shared gates.
-
-    Fan-in-1 AND/OR/XOR gates are identity functions and are collapsed so the
-    result satisfies the formula fan-in rule; this never increases gate count
-    or depth.
-    """
-    if len(c.outputs) != 1:
-        raise ValueError("unfold requires a single-output circuit")
-
-    def build(i: int) -> FormulaNode:
-        kind = KINDS[c.kinds[i]]
-        if kind is GateKind.INPUT:
-            return FormulaNode(GateKind.INPUT, var=i)
-        if kind in (GateKind.CONST0, GateKind.CONST1):
-            return FormulaNode(kind)
-        children = tuple(build(a) for a in c.operands[c.offsets[i] : c.offsets[i + 1]].tolist())
-        if kind in (GateKind.AND, GateKind.OR, GateKind.XOR) and len(children) == 1:
-            return children[0]
-        return FormulaNode(kind, children)
-
-    return build(c.outputs[0])
-
-
 def formula_to_dag(f: FormulaNode, n_vars: int | None = None) -> CircuitDag:
+    """The formula's tree as a single-output DAG over n_vars inputs (default
+    f.n_vars), a gate per internal node in postorder."""
     n = f.n_vars if n_vars is None else n_vars
-    gates: list[Gate] = [Gate(GateKind.INPUT)] * n
+    kinds, lengths, operands = [_CODE["INPUT"]] * n, [0] * n, []
 
     def build(node: FormulaNode) -> int:
         if node.kind is GateKind.INPUT:
             if node.var >= n:
                 raise DimensionError(f"variable x{node.var} out of range for n={n}")
             return node.var
-        args = tuple(build(ch) for ch in node.children)
-        gates.append(Gate(node.kind, args))
-        return len(gates) - 1
+        args = [build(ch) for ch in node.children]
+        operands.extend(args)
+        kinds.append(_CODE[node.kind.name])
+        lengths.append(len(args))
+        return len(kinds) - 1
 
     out = build(f)
-    return CircuitDag.from_gates(n, gates, (out,))
+    return CircuitDag(n, kinds, np.cumsum([0] + lengths), operands, (out,))
 
 
 def majority(x: Sequence[int]) -> int:

@@ -167,8 +167,7 @@ def cmd_compile(args) -> int:
     doc["seed"] = args.seed
     doc["trials"] = args.trials
     verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": args.seed})
-    verify_mod.emit_report(compiler.ledger_csv_rows(recipe), out / "ledger.csv",
-                           meta={"seed": args.seed})
+    verify_mod.emit_report(recipe.ledger(), out / "ledger.csv", meta={"seed": args.seed})
 
     rows, max_deg = [], None  # the error table needs the full-table sampler
     if recipe.n <= 16:

@@ -15,7 +15,8 @@ certified degree bound obeys the closed form checked by
 Sampling is deterministic in (seed, node path, lane chunk).  One bitsliced
 traversal, :func:`_eval_node`, serves every sampler (row = input point, bit =
 sample).  :func:`sample` is lane 0 of :func:`sample_tables`, capped at n <= 20
-as it is, and :func:`eval_sample` is that lane's value at one point, at any n.
+as it is, and :func:`eval_sample` is that lane's value at one point, at any n:
+the same traversal over a single row.
 """
 
 from __future__ import annotations
@@ -28,17 +29,9 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .circuits import FormulaNode, GateKind, pack_lanes
+from .circuits import FormulaNode, GateKind
 from .errors import ResourceLimitError
-from .gf2poly import (
-    SparsePolyF2,
-    _as_mask,
-    from_truth_table,
-    majority_words,
-    mobius_transform,
-    valid_words,
-    variable_words,
-)
+from .gf2poly import SparsePolyF2, _as_mask, from_truth_table, majority_words, mobius_transform
 from .rng import rng_for
 
 # Error reduction uses majority over t = smallest odd integer >= 4*ln(1/eps)+1
@@ -160,17 +153,6 @@ def reduction_copies(eps: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class LedgerEntry:
-    node_id: int
-    kind: str
-    size: int          # leaf count of the subformula at this node
-    parent_size: int   # leaf count of the enclosing formula (s in s_i/(16s))
-    eps: Fraction      # error budget charged at this node (0 if exact)
-    k_or_t: int        # factor count for gates, copy count for reductions
-    degree_bound: int
-
-
-@dataclass(frozen=True)
 class CompiledRecipe:
     root: RecipeNode
     n: int
@@ -189,28 +171,33 @@ class CompiledRecipe:
     def theoretical_bound(self) -> float:
         return theoretical_degree(self.formula_size, max(self.formula_depth - 1, 0))
 
-    def ledger(self) -> list[LedgerEntry]:
-        """One row per node.  `eps` is the budget charged at that node: a
+    def ledger(self) -> list[dict]:
+        """The rows of ledger.csv, one per node in preorder: `size_i` is the
+        node's leaf count, `parent_size` that of the enclosing formula (s in
+        s_i/(16s)), `k_or_t` the factor count of a gate or the copy count of
+        a reduction.  eps_num/eps_den is the budget charged at that node: a
         gate's own approximator error, a reduction's target, or -- for exact
         children of an inner gate -- the s_i/(16s) share assigned to them, so
-        that per-gate child budgets always sum to exactly 1/16."""
-        entries: list[LedgerEntry] = []
+        that per-gate child budgets always sum to exactly 1/16; else 0."""
+        rows: list[dict] = []
+
+        def row(kind: str, size: int, parent_size: int, eps: Fraction, k_or_t: int, degree: int):
+            rows.append({"node_id": len(rows), "kind": kind, "size_i": size, "parent_size": parent_size,
+                         "eps_num": eps.numerator, "eps_den": eps.denominator, "k_or_t": k_or_t,
+                         "degree_bound": degree})
 
         def walk(node: RecipeNode, parent_size: int, assigned: Fraction | None):
-            node_id = len(entries)
             budget = assigned if assigned is not None else Fraction(0)
             if isinstance(node, VarNode):
-                entries.append(LedgerEntry(node_id, "var", 1, parent_size, budget, 0, 1))
+                row("var", 1, parent_size, budget, 0, 1)
             elif isinstance(node, ConstNode):
-                entries.append(LedgerEntry(node_id, "const", 1, parent_size, budget, 0, 0))
+                row("const", 1, parent_size, budget, 0, 0)
             elif isinstance(node, ReduceNode):
-                entries.append(LedgerEntry(node_id, "reduce", node.size, parent_size,
-                                           node.target, node.t, node.degree_bound))
+                row("reduce", node.size, parent_size, node.target, node.t, node.degree_bound)
                 walk(node.child, parent_size, None)
             else:
                 eps = node.approx.eps if not node.approx.exact else budget
-                entries.append(LedgerEntry(node_id, node.kind.value.lower(), node.size,
-                                           parent_size, eps, node.approx.k, node.degree_bound))
+                row(node.kind.value.lower(), node.size, parent_size, eps, node.approx.k, node.degree_bound)
                 inner = not node.base and node.kind is not GateKind.NOT
                 for c in node.children:
                     share = Fraction(c.size, 16 * node.size) if inner else None
@@ -219,7 +206,7 @@ class CompiledRecipe:
                     walk(c, node.size, share)
 
         walk(self.root, self.root.size, None)
-        return entries
+        return rows
 
 
 def compile_formula(f: FormulaNode) -> CompiledRecipe:
@@ -366,14 +353,11 @@ class _Lanes(NamedTuple):
     """Bitsliced values (as in Biham's bitsliced DES) are (R, W) uint64
     arrays: row r for input point r, bit l of word w for sample 64w + l of
     lane chunk `chunk`.  Variables (the rows of `columns`) and constants are
-    (R, 1) columns that broadcast over the lanes.  With `packed_rows` there
-    is one sample, each row packs 64 points as a truth-table word, and
-    selection bits are spread over the word."""
+    (R, 1) columns that broadcast over the lanes."""
 
     columns: np.ndarray  # (n, R)
     words: int
     chunk: int
-    packed_rows: bool = False
 
 
 def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.ndarray:
@@ -391,8 +375,6 @@ def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.nd
     if kind is GateKind.XOR:
         return reduce(np.bitwise_xor, values)
     subsets = _draw_subsets(seed, path, node.approx.k, len(values), lanes.words, lanes.chunk)
-    if lanes.packed_rows:
-        subsets = -(subsets & np.uint64(1))
     if kind is GateKind.AND:
         values = [~v for v in values]
     product = None
@@ -411,17 +393,16 @@ def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
     Deterministic in seed, degree <= degree_bound.  Capped at n <= 20, as
     sample_tables is; eval_sample reads the same lane at any n.
     """
-    n = recipe.n
-    if n > SAMPLE_TABLE_MAX_N:
-        raise ResourceLimitError(f"sampling capped at n <= {SAMPLE_TABLE_MAX_N}, got {n}")
-    words = _eval_node(recipe.root, _Lanes(variable_words(n), 1, 0, True), seed, ())
-    return from_truth_table(int.from_bytes((words[:, 0] & valid_words(n)).tobytes(), "little"), n)
+    lane0 = np.packbits(sample_tables(recipe, 1, seed)[:, 0].astype(np.uint8), bitorder="little")
+    return from_truth_table(int.from_bytes(lane0.tobytes(), "little"), recipe.n)
 
 
 def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
-    """Value of sample(recipe, seed) at x, without materializing the polynomial."""
-    lanes = _Lanes(pack_lanes(recipe.n, [_as_mask(recipe.n, x)]), 1, 0, True)
-    return int(_eval_node(recipe.root, lanes, seed, ())[0, 0] & np.uint64(1))
+    """Value of sample(recipe, seed) at x, without materializing the polynomial:
+    lane 0 of a single row, whose variable columns are all ones or all zeros."""
+    mask = _as_mask(recipe.n, x)
+    columns = -np.array([mask >> i & 1 for i in range(recipe.n)], dtype=np.uint64)[:, None]
+    return int(_eval_node(recipe.root, _Lanes(columns, 1, 0), seed, ())[0, 0] & np.uint64(1))
 
 
 def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int = 0) -> np.ndarray:
@@ -434,7 +415,7 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
     """
     n = recipe.n
     if n > SAMPLE_TABLE_MAX_N:
-        raise ResourceLimitError(f"batched sampling capped at n <= {SAMPLE_TABLE_MAX_N}")
+        raise ResourceLimitError(f"sampling capped at n <= {SAMPLE_TABLE_MAX_N}, got {n}")
     columns = -(np.arange(1 << n, dtype=np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & 1)
     out = np.empty((1 << n, -(-n_samples // 64)), dtype=np.uint64)
     for c, w in enumerate(range(0, out.shape[1], LANE_CHUNK // 64), chunk):
@@ -500,8 +481,3 @@ def _node_to_json(node: RecipeNode) -> dict:
 def _frac_json(fr: Fraction) -> dict:
     return {"num": fr.numerator, "den": fr.denominator, "value": float(fr)}
 
-
-def ledger_csv_rows(recipe: CompiledRecipe) -> list[dict]:
-    return [{"node_id": e.node_id, "kind": e.kind, "size_i": e.size, "parent_size": e.parent_size,
-             "eps_num": e.eps.numerator, "eps_den": e.eps.denominator, "k_or_t": e.k_or_t,
-             "degree_bound": e.degree_bound} for e in recipe.ledger()]

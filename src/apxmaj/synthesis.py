@@ -39,6 +39,9 @@ from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
 WIDTH_CAP = 10**7
+# deepest plan: a plan holds a LevelSpec per level and plan.json lists them
+# all, while the construction's depths are O(log n / log log n)
+DEPTH_CAP = 1000
 
 
 class ResampleExhausted(ApxMajError):
@@ -137,7 +140,8 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan
 
     Recognized override keys: A, M, M_top, s_top.  Each value must be
     finite, with A, M, M_top integers >= 1 and s_top > 0; any other value
-    raises a ValueError naming its key.  n must fit a float.
+    raises a ValueError naming its key.  n must fit a float, and d above
+    DEPTH_CAP raises ResourceLimitError before any level is laid out.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -157,6 +161,8 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan
                 and (value > lower if strict else value >= lower)):
             raise ValueError(f"override {key} must be finite and {'an integer ' * (key != 's_top')}"
                              f"{'>' if strict else '>='} {lower}, got {value!r}")
+    if d > DEPTH_CAP:
+        raise ResourceLimitError(f"depth d={d} exceeds cap {DEPTH_CAP}")
     desk = bool(ov)
 
     a = ov.get("A", math.floor(n ** (1.0 / (2 * (d - 1)))))

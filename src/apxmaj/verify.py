@@ -1,6 +1,6 @@
 """Exact and statistical verification: brute-force minimum approximate degree
 (distance to the span of low-degree monomials), approximate-majority
-certification, triangle-inequality checks, and report emission.
+certification, and report emission.
 
 The degree oracle is exhaustive and therefore tiny: n <= 5 and at most 26
 basis monomials (2^26 candidates).  Each degree level is refuted or hit by
@@ -26,7 +26,7 @@ from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluato
                        exhaustive_table, random_input_words)
 from .errors import DimensionError, ParseError, ResourceLimitError
 from .gf2poly import (TRUTH_TABLE_MAX_N, SparsePolyF2, _indices, from_truth_table, majority_words,
-                      to_truth_table, valid_words, variable_words)
+                      valid_words, variable_words)
 from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
@@ -65,18 +65,6 @@ class TruthTable:
     def from_circuit(cls, c: CircuitDag) -> "TruthTable":
         """Table of the circuit's first output."""
         return cls(c.n_inputs, exhaustive_table(c.cone()))
-
-    @classmethod
-    def from_poly(cls, p: SparsePolyF2) -> "TruthTable":
-        return cls(p.n, to_truth_table(p))
-
-    def value(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
-    def distance(self, other: "TruthTable") -> int:
-        if self.n != other.n:
-            raise DimensionError("tables over different n")
-        return (self.bits ^ other.bits).bit_count()
 
 
 def majority_truth_table(n: int) -> TruthTable:
@@ -269,38 +257,6 @@ def certify_approx_majority(c: CircuitDag, eps: float, mode: str = "exact",
         bad -= int(np.bitwise_count(diff[-1] >> np.uint64(trials % 64)))
     lo, hi = (bad / trials,) * 2 if mode == "exact" else wilson_interval(bad, trials)
     return CertificationReport(n, eps, mode, bad / trials, lo, hi, trials, seed, hi <= eps)
-
-
-@dataclass(frozen=True)
-class TriangleReport:
-    dist_p_maj: float
-    dist_p_f: float
-    dist_f_maj: float
-    triangle_holds: bool
-    corollary_applies: bool
-    corollary_holds: bool
-
-
-def triangle_corollary_check(f: TruthTable, p: SparsePolyF2, eps: float) -> TriangleReport:
-    """dist(P, MAJ) <= dist(P, f) + dist(f, MAJ) on exact counts; and when f
-    is a (1/4, n)-approximate majority and P (1/4 - eps)-approximates f, P
-    must (1/2 - eps)-approximate MAJ."""
-    n = f.n
-    if p.n != n:
-        raise DimensionError("polynomial and table over different n")
-    size = 1 << n
-    tp = TruthTable.from_poly(p)
-    maj = majority_truth_table(n)
-    d_pm = tp.distance(maj) / size
-    d_pf = tp.distance(f) / size
-    d_fm = f.distance(maj) / size
-    applies = d_fm <= 0.25 and d_pf <= 0.25 - eps
-    return TriangleReport(
-        dist_p_maj=d_pm, dist_p_f=d_pf, dist_f_maj=d_fm,
-        triangle_holds=d_pm <= d_pf + d_fm + 1e-12,
-        corollary_applies=applies,
-        corollary_holds=(not applies) or d_pm <= 0.5 - eps + 1e-12,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,41 @@ import numpy as np
 import pytest
 
 from apxmaj import compiler as C
-from apxmaj.circuits import CircuitDag, FormulaNode, Gate, GateKind
+from apxmaj.circuits import KINDS, CircuitDag, FormulaNode, Gate, GateKind
 from apxmaj.errors import DimensionError
 from apxmaj.rng import rng_for
 
 GATE_CHOICES = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT)
+
+
+def dag_from_gates(n_inputs: int, gates, outputs) -> CircuitDag:
+    """The CircuitDag of `Gate` objects, the inverse of `CircuitDag.gates`."""
+    return CircuitDag(n_inputs, [KINDS.index(g.kind) for g in gates],
+                      np.cumsum([0] + [len(g.args) for g in gates]), [a for g in gates for a in g.args], outputs)
+
+
+def unfold_to_formula(c: CircuitDag) -> FormulaNode:
+    """Expand a single-output DAG into a tree, duplicating shared gates.
+
+    Fan-in-1 AND/OR/XOR gates are identity functions and are collapsed so the
+    result satisfies the formula fan-in rule; this never increases gate count
+    or depth.
+    """
+    if len(c.outputs) != 1:
+        raise ValueError("unfold requires a single-output circuit")
+
+    def build(i: int) -> FormulaNode:
+        kind = KINDS[c.kinds[i]]
+        if kind is GateKind.INPUT:
+            return FormulaNode(GateKind.INPUT, var=i)
+        if kind in (GateKind.CONST0, GateKind.CONST1):
+            return FormulaNode(kind)
+        children = tuple(build(a) for a in c.operands[c.offsets[i] : c.offsets[i + 1]].tolist())
+        if kind in (GateKind.AND, GateKind.OR, GateKind.XOR) and len(children) == 1:
+            return children[0]
+        return FormulaNode(kind, children)
+
+    return build(c.outputs[0])
 
 
 def oracle_eval_dag(c: CircuitDag, x: list[int]) -> list[int]:
@@ -180,7 +210,7 @@ def random_dag(rng: np.random.Generator, n: int, max_gates: int = 12,
         args = tuple(int(v) for v in rng.choice(eligible, size=fanin, replace=False))
         gates.append(Gate(kind, args))
         depths.append(1 + max(depths[a] for a in args))
-    return CircuitDag.from_gates(n, tuple(gates), (len(gates) - 1,))
+    return dag_from_gates(n, tuple(gates), (len(gates) - 1,))
 
 
 def reference_synth(p, seed: int) -> tuple[CircuitDag, tuple[tuple[int, int], ...]]:
@@ -198,7 +228,7 @@ def reference_synth(p, seed: int) -> tuple[CircuitDag, tuple[tuple[int, int], ..
             gates.append(Gate(spec.kind, tuple(sorted({prev_start + int(j) for j in row}))))
         ranges.append((start, len(gates)))
         prev_start, prev_count = start, spec.width
-    return CircuitDag.from_gates(p.n, tuple(gates), (len(gates) - 1,)), tuple(ranges)
+    return dag_from_gates(p.n, tuple(gates), (len(gates) - 1,)), tuple(ranges)
 
 
 def random_assignment(rng: np.random.Generator, n: int) -> list[int]:

@@ -396,8 +396,7 @@ def test_c7_degree_oracle():
 def test_c8_unfolding_bound():
     """100 random single-output DAGs (s <= 12, d <= 4, n <= 10): unfolding
     preserves the truth table and gate count <= s^(d-1)."""
-    from apxmaj.circuits import unfold_to_formula
-    from conftest import oracle_table_dag
+    from conftest import oracle_table_dag, unfold_to_formula
     rng = np.random.default_rng(88)
     failures = []
     for i in range(100):

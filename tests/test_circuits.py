@@ -20,12 +20,12 @@ from apxmaj.circuits import (
     parse_netlist,
     serialize_formula,
     serialize_netlist,
-    unfold_to_formula,
 )
 from apxmaj.errors import DimensionError, ParseError
 from apxmaj.verify import majority_truth_table
 
-from conftest import oracle_eval_dag, oracle_table_dag, oracle_table_formula, random_dag
+from conftest import (dag_from_gates, oracle_eval_dag, oracle_table_dag, oracle_table_formula, random_dag,
+                      unfold_to_formula)
 
 
 # ---------------------------------------------------------------------- parsing
@@ -129,7 +129,7 @@ I, C0, AND, OR, NOT, XOR = (GateKind.INPUT, GateKind.CONST0, GateKind.AND, GateK
 def test_circuit_dag_validation(n_inputs, gates, outputs, message):
     # the same rules and messages whether a DAG is built from Gates or arrays
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CircuitDag.from_gates(n_inputs, [Gate(k, a) for k, a in gates], outputs)
+        dag_from_gates(n_inputs, [Gate(k, a) for k, a in gates], outputs)
     kinds = [KINDS.index(k) for k, _ in gates]
     offsets = np.cumsum([0] + [len(a) for _, a in gates])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -151,7 +151,7 @@ def test_circuit_dag_rejects_malformed_arrays(kinds, offsets, operands):
 @pytest.mark.parametrize("gates", [[(I, ()), (NOT, (2**70,))], [(I, ()), (NOT, (-(2**70),))]])
 def test_circuit_dag_rejects_ids_beyond_int64(gates):
     with pytest.raises(ValueError, match="out of range"):
-        CircuitDag.from_gates(1, [Gate(k, a) for k, a in gates], (1,))
+        dag_from_gates(1, [Gate(k, a) for k, a in gates], (1,))
 
 
 def test_circuit_dag_arrays_and_gates_agree():
@@ -160,10 +160,10 @@ def test_circuit_dag_arrays_and_gates_agree():
     assert [KINDS[k] for k in c.kinds] == [I, I, GateKind.CONST1, XOR, NOT]
     assert c.offsets.tolist() == [0, 0, 0, 0, 3, 4] and c.operands.tolist() == [1, 0, 2, 3]
     assert c.gates == (Gate(I), Gate(I), Gate(GateKind.CONST1), Gate(XOR, (1, 0, 2)), Gate(NOT, (3,)))
-    again = CircuitDag.from_gates(2, c.gates, c.outputs)
+    again = dag_from_gates(2, c.gates, c.outputs)
     assert again == c
-    assert again != CircuitDag.from_gates(2, c.gates, (4,))
-    assert again != CircuitDag.from_gates(2, c.gates[:3] + (Gate(XOR, (0, 1, 2)), c.gates[4]), c.outputs)
+    assert again != dag_from_gates(2, c.gates, (4,))
+    assert again != dag_from_gates(2, c.gates[:3] + (Gate(XOR, (0, 1, 2)), c.gates[4]), c.outputs)
 
 
 def test_deep_chain_levelizes_iteratively():
@@ -284,7 +284,7 @@ def test_packed_evaluator_matches_scalar_eval(seed):
       (GateKind.NOT, (4,)), (GateKind.XOR, (5, 10))], tuple(range(3, 12))),
 ], ids=["constants-only", "constants-feed-gates"])
 def test_packed_evaluator_constants(gates, outputs):
-    c = CircuitDag.from_gates(3, tuple([Gate(GateKind.INPUT)] * 3 + [Gate(k, a) for k, a in gates]), outputs)
+    c = dag_from_gates(3, tuple([Gate(GateKind.INPUT)] * 3 + [Gate(k, a) for k, a in gates]), outputs)
     words = PackedEvaluator(c).outputs(pack_lanes(3, list(range(8))))
     for lane in range(8):
         assert _lane(words, lane) == oracle_eval_dag(c, [lane >> i & 1 for i in range(3)])
@@ -302,7 +302,7 @@ def test_packed_evaluator_monotone_chain(rng):
     gates.append(Gate(GateKind.AND, (0, 1, 2)))
     gates.append(Gate(GateKind.OR, (3, 6)))
     gates.append(Gate(GateKind.OR, (4, 5, 7)))
-    c = CircuitDag.from_gates(6, tuple(gates), (8,))
+    c = dag_from_gates(6, tuple(gates), (8,))
     chain = []
     x = [0] * 6
     chain.append(list(x))
@@ -339,7 +339,7 @@ def test_exhaustive_table_in_chunks_matches_oracle(rng):
         c = random_dag(rng, 15, max_gates=30)
         gates = c.gates + (Gate(GateKind.AND, (14, 13)),
                            Gate(GateKind.XOR, (c.outputs[0], len(c.gates))))
-        c = CircuitDag.from_gates(15, gates, (len(gates) - 1,))
+        c = dag_from_gates(15, gates, (len(gates) - 1,))
         assert exhaustive_table(c) == oracle_table_dag(c)
 
 
@@ -363,7 +363,7 @@ def _random_dag_with_dead_gates(rng: np.random.Generator, n: int) -> CircuitDag:
     rng.shuffle(outputs)
     gates.append(Gate(GateKind.NOT, (len(gates) - 1,)))
     gates.append(Gate(GateKind.XOR, (0, len(gates) - 1)))
-    return CircuitDag.from_gates(n, tuple(gates), tuple(outputs))
+    return dag_from_gates(n, tuple(gates), tuple(outputs))
 
 
 def test_cone_agrees_with_whole_dag(rng):

@@ -168,6 +168,19 @@ def test_synth_d1_usage_error(workdir, capsys):
     assert run(["synth", "--n", "101", "--d", "1", "--eps", "0.25", "--out", "x"]) == EXIT_USAGE
 
 
+def test_synth_depth_cap_exits_3_before_any_file(workdir, capsys):
+    # a plan lists every level, so a depth past the cap is refused before any
+    # level is laid out; the cap itself still plans
+    assert S.DEPTH_CAP == 1000
+    assert run(["synth", "--n", "101", "--d", "1001", "--eps", "0.25", "--out", "x"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == "resource cap: depth d=1001 exceeds cap 1000\n"
+    assert not (workdir / "x").exists()
+    assert run(["synth", "--n", "101", "--d", "1000", "--eps", "0.25", "--out", "y"]) == EXIT_OK
+    assert "NOTSYNTH" in capsys.readouterr().out
+    assert len(json.loads((workdir / "y/plan.json").read_text())["levels"]) == 1000
+
+
 def test_verify_const0_fails_quarter(workdir):
     (workdir / "z.netlist").write_text(
         "input x0\ninput x1\ninput x2\nz = CONST0\noutput z\n")
@@ -525,7 +538,13 @@ def test_library_surface():
         "level_checks", "majority", "min_approx_degree", "parse_formula", "parse_netlist",
         "plan", "razborov_gate_recipe", "resample_until_valid", "sample",
         "serialize_formula", "serialize_netlist", "synth", "tail_mass",
-        "theoretical_degree", "triangle_corollary_check", "unfold_to_formula"]
+        "theoretical_degree"]
+    assert not hasattr(apxmaj.CircuitDag, "from_gates")
+    assert not any(hasattr(compiler, name) for name in ("LedgerEntry", "ledger_csv_rows"))
+    assert compiler._Lanes._fields == ("columns", "words", "chunk")
+    assert not any(hasattr(apxmaj.verify, name) for name in ("TriangleReport", "triangle_corollary_check"))
+    assert not any(hasattr(apxmaj.TruthTable, name) for name in ("from_poly", "distance", "value"))
+    assert not hasattr(apxmaj.circuits, "unfold_to_formula")
     params = {f.__name__: list(inspect.signature(f).parameters)
               for f in (compiler.theoretical_degree, compiler.formula_size_lower_bound,
                         compiler.razborov_gate_recipe)}

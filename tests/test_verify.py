@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
 from apxmaj import verify as V
-from apxmaj.compiler import compile_formula, ledger_csv_rows
-from apxmaj.circuits import (CircuitDag, Gate, GateKind, formula_to_dag, majority, parse_formula,
-                             parse_netlist)
+from apxmaj.compiler import compile_formula
+from apxmaj.circuits import Gate, GateKind, formula_to_dag, majority, parse_formula, parse_netlist
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
 
-from conftest import oracle_table_dag, random_dag
+from conftest import dag_from_gates, oracle_table_dag, random_dag
 
 
 def brute_min_degree(table_bits: int, n: int, eps: float) -> int:
@@ -44,7 +43,7 @@ def brute_min_degree(table_bits: int, n: int, eps: float) -> int:
 def test_truth_table_hex_roundtrip():
     t = V.TruthTable.from_hex("e8", 3)
     assert t.bits == 0xE8
-    assert [t.value(j) for j in range(8)] == [0, 0, 0, 1, 0, 1, 1, 1]
+    assert [t.bits >> j & 1 for j in range(8)] == [0, 0, 0, 1, 0, 1, 1, 1]
     with pytest.raises(ParseError):
         V.TruthTable.from_hex("e85", 3)
 
@@ -132,7 +131,7 @@ def test_min_approx_degree_ball_path_equals_span_path():
 def test_level3_hit_reports_span_size():
     # x0*x1*x2 is within 1 of itself at eps = 1/32, so the degree-3 level (26
     # monomials, a 2^26 span) hits; the 33-pattern ball finds it
-    f = V.TruthTable.from_poly(g.parse_poly("x0*x1*x2", 5))
+    f = V.TruthTable(5, g.to_truth_table(g.parse_poly("x0*x1*x2", 5)))
     cert = V.min_approx_degree(f, 1 / 32)
     assert cert.degree == 3 and cert.scanned[-1] == 1 << 26
 
@@ -235,7 +234,7 @@ def test_certify_exact_matches_brute_force(rng):
             out = len(c.gates) + 1
             gates = c.gates + (Gate(const), Gate(GateKind.XOR, (c.outputs[0], out - 1)),
                                Gate(GateKind.NOT, (out,)))  # the NOT is dead
-            c = CircuitDag.from_gates(n, gates, (out,))
+            c = dag_from_gates(n, gates, (out,))
             table = oracle_table_dag(c)
             bad = sum(table >> j & 1 != majority([j >> i & 1 for i in range(n)])
                       for j in range(1 << n))
@@ -298,37 +297,6 @@ def test_mc_rejects_nonpositive_trials():
             V.certify_approx_majority(dag, 0.25, "mc", trials=trials, seed=1)
 
 
-# ------------------------------------------------------------------- triangle
-
-def test_triangle_trivial():
-    maj3 = V.majority_truth_table(3)
-    p = g.parse_poly("x0*x1 + x0*x2 + x1*x2", 3)
-    rep = V.triangle_corollary_check(maj3, p, 0.1)
-    assert rep.dist_p_maj == rep.dist_p_f == rep.dist_f_maj == 0.0
-    assert rep.triangle_holds and rep.corollary_holds
-
-
-def test_triangle_flip_two_entries():
-    maj3 = V.majority_truth_table(3)
-    f = V.TruthTable(3, maj3.bits ^ 0b101)  # distance 2/8 = 1/4 from MAJ3
-    p = g.from_truth_table(f.bits, 3)
-    rep = V.triangle_corollary_check(f, p, 0.1)
-    assert rep.dist_f_maj == 0.25
-    assert rep.dist_p_f == 0.0
-    assert rep.dist_p_maj <= 0.25
-    assert rep.triangle_holds and rep.corollary_applies and rep.corollary_holds
-
-
-def test_triangle_random_never_violated(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        f = V.TruthTable(n, int(rng.integers(0, 1 << (1 << n))))
-        p = g.SparsePolyF2(n, frozenset(int(m) for m in rng.integers(0, 1 << n, size=4)))
-        rep = V.triangle_corollary_check(f, p, 0.05)
-        assert rep.triangle_holds
-        assert rep.corollary_holds
-
-
 # -------------------------------------------------------------------- reports
 
 def test_emit_report_empty_and_csv(tmp_path):
@@ -346,7 +314,7 @@ def test_emit_report_csv_bytes(tmp_path):
     # header from the first row's keys, values in header order, None as an
     # empty cell, csv's \r\n terminators
     r = compile_formula(parse_formula("(or (and x0 x1) x2)"))
-    V.emit_report(ledger_csv_rows(r), tmp_path / "ledger.csv")
+    V.emit_report(r.ledger(), tmp_path / "ledger.csv")
     assert (tmp_path / "ledger.csv").read_bytes() == (
         b"node_id,kind,size_i,parent_size,eps_num,eps_den,k_or_t,degree_bound\r\n"
         b"0,or,3,3,1,16,4,180\r\n1,reduce,2,3,1,24,15,45\r\n2,and,2,3,1,8,3,3\r\n"
