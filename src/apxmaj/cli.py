@@ -6,10 +6,10 @@ against majority), degree (exhaustive approximate-degree oracle), check
 (inequality / lemma / gamma / tail sweeps).
 
 Every command is deterministic given its arguments and --seed; all emitted
-JSON is byte-stable across reruns (run timestamps live in `.meta.json`
-sidecars).  Exit codes: 0 success/pass, 1 verification failure, 2 usage or
-parse error, 3 resource cap exceeded, 4 internal error (a bug: any other
-exception, reported in one stderr line).
+JSON is byte-stable across reruns (run timestamps live in one `.meta.json`
+sidecar per command).  Exit codes: 0 success/pass, 1 verification failure, 2
+usage or parse error, 3 resource cap exceeded, 4 internal error (a bug: any
+other exception, reported in one stderr line).
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ def cmd_compile(args) -> int:
     doc = compiler.recipe_to_json(recipe)
     doc["seed"] = args.seed
     doc["trials"] = args.trials
-    verify_mod.emit_report(doc, out / "recipe.json", meta={"seed": args.seed})
-    verify_mod.emit_report(recipe.ledger(), out / "ledger.csv", meta={"seed": args.seed})
+    verify_mod.emit_report(doc, out / "recipe.json")
+    verify_mod.emit_report(recipe.ledger(), out / "ledger.csv")
 
     rows, max_deg = [], None  # the error table needs the full-table sampler
     if recipe.n <= 16:
@@ -183,7 +183,8 @@ def cmd_compile(args) -> int:
             wrong += np.where(truth, lanes - ones, ones)
             max_deg = max(max_deg, int(compiler.table_degrees(tables, recipe.n).max()))
         rows = [{"input": j, "empirical_error": e} for j, e in enumerate((wrong / args.trials).tolist())]
-    verify_mod.emit_report(rows, out / "errors.csv", meta={"seed": args.seed})
+    verify_mod.emit_report(rows, out / "errors.csv",
+                           meta={"seed": args.seed, "reports": ["recipe.json", "ledger.csv", "errors.csv"]})
 
     print(f"compiled: size={recipe.formula_size} depth={recipe.formula_depth} "
           f"degree_bound={recipe.degree_bound} err_bound={recipe.err_bound:.6f} "
@@ -197,7 +198,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     doc = _plan_json(p)
     doc["seed"] = args.seed
-    verify_mod.emit_report(doc, out / "plan.json", meta={"seed": args.seed})
+    meta = {"seed": args.seed, "reports": ["plan.json"]}  # the sidecar goes with the last report
+    verify_mod.emit_report(doc, out / "plan.json", meta=None if p.synthesizable else meta)
     if not p.synthesizable:
         print("NOTSYNTH: " + "; ".join(p.synth_blockers()))
         print(f"plan written to {out / 'plan.json'} (analysis only)")
@@ -213,7 +215,8 @@ def cmd_synth(args) -> int:
         "sigma": obs.sigma, "band_lo": obs.band_lo,
         "band_hi": obs.band_hi, "pass": obs.within_3_sigma,
     } for w, observations in zip(weights, checks) for obs in observations]
-    verify_mod.emit_report(band_rows, out / "bands.csv", meta={"seed": args.seed})
+    meta["reports"] += ["circuit.netlist", "bands.csv"]
+    verify_mod.emit_report(band_rows, out / "bands.csv", meta=meta)
     print(f"synthesized: depth={result.dag.depth} gates={result.dag.size} "
           f"live={result.dag.cone().size} monotone={result.dag.is_monotone()}")
     return EXIT_OK
@@ -272,7 +275,7 @@ def cmd_degree(args) -> int:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))
     cert = verify_mod.min_approx_degree(table, args.eps)
     witness = gf2poly.format_poly(cert.witness)
-    verify_mod.emit_report({**vars(cert), "witness": witness}, Path(args.out) / "degree.json")
+    verify_mod.emit_report({**vars(cert), "witness": witness}, Path(args.out) / "degree.json", meta={})
     print(f"degree={cert.degree} distance={cert.distance} (allowed {cert.allowed}) "
           f"witness={witness}")
     return EXIT_OK

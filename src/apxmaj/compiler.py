@@ -16,7 +16,8 @@ Sampling is deterministic in (seed, node path, lane chunk).  One bitsliced
 traversal, :func:`_eval_node`, serves every sampler (row = input point, bit =
 sample).  :func:`sample` is lane 0 of :func:`sample_tables`, capped at n <= 20
 as it is, and :func:`eval_sample` is that lane's value at one point, at any n:
-the same traversal over a single row.
+the same traversal over a single row.  A node of error bound 0 is the same in
+every sample: a (R, 1) column, each row all 0s or all 1s (see :class:`_Lanes`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,6 +47,8 @@ SAMPLE_TABLE_MAX_N = 20
 # samples per lane chunk: each chunk draws its own subsets, and `compile`
 # holds one chunk's tables at a time, so its memory is flat in --trials
 LANE_CHUNK = 4096
+# lane-constant children per subset-parity lookup table (2^8 rows)
+LOOKUP_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -352,8 +356,10 @@ _ONES = ~np.uint64(0)
 class _Lanes(NamedTuple):
     """Bitsliced values (as in Biham's bitsliced DES) are (R, W) uint64
     arrays: row r for input point r, bit l of word w for sample 64w + l of
-    lane chunk `chunk`.  Variables (the rows of `columns`) and constants are
-    (R, 1) columns that broadcast over the lanes."""
+    lane chunk `chunk`.  Variables (the rows of `columns`), constants, and NOT
+    and XOR of them (the nodes of error bound 0) are (R, 1) columns that
+    broadcast over the lanes, and each row of a column is all 0s or all 1s:
+    the subset-parity lookup of `_eval_node` reads one bit per column and row."""
 
     columns: np.ndarray  # (n, R)
     words: int
@@ -377,14 +383,29 @@ def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.nd
     subsets = _draw_subsets(seed, path, node.approx.k, len(values), lanes.words, lanes.chunk)
     if kind is GateKind.AND:
         values = [~v for v in values]
-    product = None
-    for row in subsets:  # (m, W) selection words of one factor
-        acc = values[0] & row[0]
-        for v, s in zip(values[1:], row[1:]):
-            acc ^= v & s
-        np.invert(acc, out=acc)  # the factor 1 + <S_j, y>
-        product = acc if product is None else np.bitwise_and(product, acc, out=product)
-    return product if kind is GateKind.AND else np.invert(product, out=product)
+    # Children of error bound 0 are lane-constant columns: a factor's parity
+    # over a block of them is a lookup (the method of four Russians), in a table
+    # whose row t XORs the selection words of the columns set in t.
+    exact = [i for i, c in enumerate(node.children) if c.err_bound == 0]
+    blocks = []
+    for start in range(0, len(exact), LOOKUP_BITS):
+        block = exact[start:start + LOOKUP_BITS]
+        index = np.packbits(np.concatenate([values[i] for i in block], axis=1), axis=1, bitorder="little")
+        table = np.zeros_like(subsets[:, :1])  # (k, 2^t, W) after t columns
+        for i in block:
+            table = np.concatenate([table, table ^ subsets[:, i, None]], axis=1)
+        blocks.append((table, index[:, 0]))
+    if len(exact) == len(values) <= LOOKUP_BITS:  # one table: OR its k factors, then gather once
+        product = np.bitwise_or.reduce(blocks[0][0], axis=0).take(blocks[0][1], axis=0)
+    else:
+        product = None
+        for j, row in enumerate(subsets):  # (m, W) selection words of one factor
+            acc = None
+            for part in chain((tab[j].take(idx, axis=0) for tab, idx in blocks),
+                              (v & s for v, s, c in zip(values, row, node.children) if c.err_bound != 0)):
+                acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
+            product = acc if product is None else np.bitwise_or(product, acc, out=product)  # OR_j <S_j, y>
+    return np.invert(product, out=product) if kind is GateKind.AND else product  # = 1 + prod_j (1 + <S_j, y>)
 
 
 def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:

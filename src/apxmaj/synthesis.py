@@ -39,6 +39,8 @@ from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
 WIDTH_CAP = 10**7
+# most operands synth may draw (sum of width * fan-in): 3.1 GB at 31 B each
+OPERAND_CAP = 10**8
 # deepest plan: a plan holds a LevelSpec per level and plan.json lists them
 # all, while the construction's depths are O(log n / log log n)
 DEPTH_CAP = 1000
@@ -120,6 +122,9 @@ class SynthPlan:
                 out.append(f"{spec.describe()}: width exceeds cap {WIDTH_CAP}")
             if spec.fan_in is None:
                 out.append(f"{spec.describe()}: fan-in exceeds cap {WIDTH_CAP}")
+        operands = 0 if out else sum(spec.width * spec.fan_in for spec in self.levels)
+        if operands > OPERAND_CAP:
+            out.append(f"{operands} drawn operands exceed cap {OPERAND_CAP}")
         return out
 
 

@@ -39,10 +39,39 @@ def test_compile_writes_artifacts(workdir):
     assert recipe["seed"] == 3
     ledger = (workdir / "out/ledger.csv").read_text().splitlines()
     assert ledger[0].startswith("node_id,")
-    assert json.loads((workdir / "out/ledger.csv.meta.json").read_text())["seed"] == 3
+    assert json.loads((workdir / "out/recipe.json.meta.json").read_text())["seed"] == 3
     errors = (workdir / "out/errors.csv").read_text().splitlines()
     assert errors[0] == "input,empirical_error"
     assert len(errors) == 1 + 4
+
+
+def _sidecar(folder: Path, first: str, files: list[str]) -> dict:
+    # a command writes its files and one sidecar, named after the first report
+    assert sorted(p.name for p in folder.iterdir()) == sorted(files + [first + ".meta.json"])
+    meta = json.loads((folder / (first + ".meta.json")).read_text())
+    return {k: v for k, v in meta.items() if k != "written_at"}
+
+
+def test_compile_and_synth_write_one_sidecar(workdir, capsys):
+    (workdir / "f.sexpr").write_text("(or (and x0 x1) x2)\n")
+    assert run(["compile", "f.sexpr", "--out", "c", "--seed", "4", "--trials", "100"]) == EXIT_OK
+    reports = ["recipe.json", "ledger.csv", "errors.csv"]
+    assert _sidecar(workdir / "c", "recipe.json", reports) == {"seed": 4, "reports": reports}
+    assert run(["synth", "--n", "31", "--d", "3", "--eps", "0.25",
+                "--override", "A=3,M=64,Mtop=64", "--seed", "5", "--out", "s"]) == EXIT_OK
+    reports = ["plan.json", "circuit.netlist", "bands.csv"]
+    assert _sidecar(workdir / "s", "plan.json", reports) == {"seed": 5, "reports": reports}
+    assert run(["synth", "--n", "1000000", "--d", "3", "--eps", "0.03125", "--out", "p"]) == EXIT_OK
+    assert _sidecar(workdir / "p", "plan.json", ["plan.json"]) == {"seed": 0, "reports": ["plan.json"]}
+
+
+def test_single_report_commands_keep_their_sidecar(workdir, capsys):
+    _write_inputs(workdir)
+    for command, report, meta in [("verify", "certification.json", {"seed": 0}),
+                                  ("degree", "degree.json", {}),
+                                  ("check", "check_inequality.json", {"seed": 0})]:
+        assert run(SUBCOMMAND_ARGV[command] + ["--out", command]) in (EXIT_OK, EXIT_FAIL)
+        assert _sidecar(workdir / command, report, [report]) == meta
 
 
 def test_compile_above_16_variables_writes_no_error_table(workdir, capsys):
@@ -162,6 +191,18 @@ def test_synth_asymptotic_notsynth(workdir, capsys):
     assert plan["log_M"] == 310.0
     assert plan["synthesizable"] is False
     assert not (workdir / "p/circuit.netlist").exists()
+
+
+def test_synth_operand_cap_writes_plan_only(workdir, capsys):
+    # each level's width and fan-in is under WIDTH_CAP, their products are not
+    # under OPERAND_CAP: synth draws nothing
+    argv = ["synth", "--n", "101", "--d", "4", "--eps", "0.25", "--override", "A=16,M=1000000"]
+    assert not S.plan(101, 4, 0.25, {"A": 16, "M": 10**6}).synthesizable
+    assert run(argv + ["--out", "p"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        f"NOTSYNTH: 1179532001000 drawn operands exceed cap {S.OPERAND_CAP}\n")
+    assert sorted(p.name for p in (workdir / "p").iterdir()) == ["plan.json", "plan.json.meta.json"]
+    assert json.loads((workdir / "p/plan.json").read_text())["synthesizable"] is False
 
 
 def test_synth_d1_usage_error(workdir, capsys):

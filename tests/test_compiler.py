@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from apxmaj import compiler as C
 from apxmaj import gf2poly as g
-from apxmaj.circuits import GateKind, formula_to_dag, parse_formula
+from apxmaj.circuits import FormulaNode, GateKind, formula_to_dag, parse_formula
 from apxmaj.errors import ResourceLimitError
 from apxmaj.verify import TruthTable
 
@@ -222,6 +222,60 @@ def test_eval_sample_matches_scalar_oracle_above_64_variables(rng):
     for _ in range(32):
         x = int.from_bytes(rng.bytes(9), "little") & ((1 << n) - 1) | 1 << int(rng.integers(64, n))
         assert C.eval_sample(r, x, 9) == oracle_sample_value(r, x, 9, 0, draws)
+
+
+# Children of error bound 0 (variables, constants, NOT and XOR of them) read
+# their subset parities from tables of up to LOOKUP_BITS columns.  The OR and
+# AND have more of them than one table holds, with repeated variables; the
+# third gate mixes them with AND/OR children, which are masked one by one; the
+# last two fit one table, whose k factors are ORed before the gather.
+_LOOKUP_ARGS = "x0 x1 (not x2) (xor x3 x4) x0 x5 (not x0) x6 (xor x1 x6) x7 x2 x8"
+
+
+def _lookup_recipes():
+    consts = (FormulaNode(GateKind.CONST0), FormulaNode(GateKind.CONST1))
+    recipes = []
+    for kind in ("or", "and"):
+        f = parse_formula(f"({kind} {_LOOKUP_ARGS})")
+        recipes.append(C.compile_formula(FormulaNode(f.kind, f.children + consts)))
+    texts = ["(and x0 (or x1 x2) (not x3) (xor x4 x0) x0 x1 x2 x3 x4 (not x1) (xor x2 x3) "
+             "(xor x4 (and x1 x3)))",
+             "(or x0 (not x1) (xor x1 x2) x0 (not (xor x0 x2)))",
+             "(and (not x0) (xor x1 x2) x2 (xor x0 x1 x2))"]
+    return recipes + [C.compile_formula(parse_formula(t)) for t in texts]
+
+
+def test_lookup_recipes_reach_every_path():
+    recipes = _lookup_recipes()
+    exact = [sum(c.err_bound == 0 for c in r.root.children) for r in recipes]
+    sizes = [len(r.root.children) for r in recipes]
+    assert exact[0] > C.LOOKUP_BITS and exact[1] > C.LOOKUP_BITS and exact[2] > C.LOOKUP_BITS
+    assert exact[2] < sizes[2]
+    assert exact[3:] == sizes[3:] and max(sizes[3:]) <= C.LOOKUP_BITS
+
+
+@pytest.mark.parametrize("lanes", [1, 65, C.LANE_CHUNK + 3])
+def test_lookup_parity_matches_scalar_oracle(rng, lanes):
+    for r in _lookup_recipes():
+        n, s = r.n, int(rng.integers(2**32))
+        bits = lane_bits(C.sample_tables(r, lanes, s), lanes)
+        draws = {}
+        # every lane of a small batch; of 4,099, every 17th, up to lane 4,097 of the second chunk
+        for lane in range(0, lanes, 1 if lanes <= 128 else 17):
+            x = int(rng.integers(1 << n))
+            assert bits[lane, x] == oracle_sample_value(r, x, s, lane, draws), (lane, x)
+        for lane in {0, lanes - 1}:
+            want = [oracle_sample_value(r, x, s, lane, draws) for x in range(1 << n)]
+            assert bits[lane].tolist() == want, lane
+
+
+def test_lookup_parity_eval_sample_one_row(rng):
+    # eval_sample evaluates a single row (R = 1) at one lane word
+    for r in _lookup_recipes():
+        for s in (1, 2):
+            draws = {}
+            for x in rng.integers(0, 1 << r.n, size=16):
+                assert C.eval_sample(r, int(x), s) == oracle_sample_value(r, int(x), s, 0, draws), (s, x)
 
 
 def test_sample_seed_stream_pinned():

@@ -27,6 +27,19 @@ def test_plan_asymptotic_example():
     assert any("width exceeds cap" in b for b in p.synth_blockers())
 
 
+def test_plan_caps_drawn_operands():
+    # widths and fan-ins each under WIDTH_CAP, whose products synth would draw
+    assert S.OPERAND_CAP == 10**8
+    for d, overrides in [(4, {"A": 16, "M": 10**6}), (3, {"A": 3, "M": 10**7})]:
+        p = S.plan(101, d, 0.25, overrides)
+        assert all(s.width is not None and s.fan_in is not None for s in p.levels)
+        operands = sum(s.width * s.fan_in for s in p.levels)
+        assert operands > S.OPERAND_CAP
+        assert p.synth_blockers() == [f"{operands} drawn operands exceed cap {S.OPERAND_CAP}"]
+        assert not p.synthesizable
+    assert S.plan(**DESK).synthesizable
+
+
 def test_plan_rejects_bad_arguments():
     with pytest.raises(ValueError):
         S.plan(101, 1, 0.25)
