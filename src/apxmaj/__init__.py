@@ -5,10 +5,8 @@ from .circuits import (
     CircuitDag,
     FormulaNode,
     GateKind,
-    majority,
     parse_formula,
     parse_netlist,
-    serialize_formula,
     serialize_netlist,
 )
 from .compiler import (
@@ -17,12 +15,11 @@ from .compiler import (
     compile_formula,
     error_reduce,
     eval_sample,
-    formula_size_lower_bound,
     razborov_gate_recipe,
     sample,
     theoretical_degree,
 )
-from .gf2poly import SparsePolyF2, add, eval_poly, from_truth_table
+from .gf2poly import SparsePolyF2, from_truth_table
 from .synthesis import (
     SynthPlan,
     SynthResult,

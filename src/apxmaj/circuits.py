@@ -251,21 +251,11 @@ class FormulaNode:
         return 1 + max(c.depth for c in self.children)
 
     @property
-    def gate_count(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + sum(c.gate_count for c in self.children)
-
-    @property
     def n_vars(self) -> int:
         """1 + highest referenced variable index (0 for constant formulas)."""
         if self.kind is GateKind.INPUT:
             return self.var + 1
         return max((c.n_vars for c in self.children), default=0)
-
-
-def var(i: int) -> FormulaNode:
-    return FormulaNode(GateKind.INPUT, var=i)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +413,6 @@ def _tokenize_sexpr(text: str) -> list[tuple[str, int, int]]:
     return toks
 
 
-def serialize_formula(f: FormulaNode) -> str:
-    if f.kind is GateKind.INPUT:
-        return f"x{f.var}"
-    if f.kind in (GateKind.CONST0, GateKind.CONST1):
-        raise ValueError("constants are not representable in the formula grammar")
-    op = f.kind.value.lower()
-    return "(" + " ".join([op] + [serialize_formula(c) for c in f.children]) + ")"
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -492,12 +473,6 @@ def formula_to_dag(f: FormulaNode, n_vars: int | None = None) -> CircuitDag:
 
     out = build(f)
     return CircuitDag(n, kinds, np.cumsum([0] + lengths), operands, (out,))
-
-
-def majority(x: Sequence[int]) -> int:
-    """1 iff strictly more than half the bits are 1 (ties go to 0)."""
-    ones = sum(b & 1 for b in x)
-    return 1 if 2 * ones > len(x) else 0
 
 
 # ---------------------------------------------------------------------------

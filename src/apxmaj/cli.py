@@ -169,8 +169,13 @@ def cmd_compile(args) -> int:
     verify_mod.emit_report(doc, out / "recipe.json")
     verify_mod.emit_report(recipe.ledger(), out / "ledger.csv")
 
-    rows, max_deg = [], None  # the error table needs the full-table sampler
+    rows, max_deg, capped = [], None, ""  # the error table needs the full-table sampler
     if recipe.n <= 16:
+        try:  # the whole --trials, before the first chunk
+            compiler.check_sample_work(recipe, 1 << recipe.n, -(-args.trials // 64))
+        except ResourceLimitError as e:
+            capped = f"\nno error table: {e}"
+    if recipe.n <= 16 and not capped:
         truth = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits
         truth = np.frombuffer(f"{truth:0{1 << recipe.n}b}".encode()[::-1], np.uint8) == ord("1")
         wrong, max_deg = np.zeros(truth.shape, dtype=np.int64), 0
@@ -189,7 +194,7 @@ def cmd_compile(args) -> int:
     print(f"compiled: size={recipe.formula_size} depth={recipe.formula_depth} "
           f"degree_bound={recipe.degree_bound} err_bound={recipe.err_bound:.6f} "
           f"theoretical={recipe.theoretical_bound:.1f}"
-          + (f" max_sampled_degree={max_deg}" if max_deg is not None else ""))
+          + (f" max_sampled_degree={max_deg}" if max_deg is not None else "") + capped)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
@@ -49,6 +49,14 @@ SAMPLE_TABLE_MAX_N = 20
 LANE_CHUNK = 4096
 # lane-constant children per subset-parity lookup table (2^8 rows)
 LOOKUP_BITS = 8
+# Sampler work, in word operations: each node visit of a traversal (a
+# reduction visits its child t times) costs its rows x lane words, plus
+# VISIT_OVERHEAD for the Python and numpy calls of a visit (about 17 us, at
+# 3-12 ns a word).  The largest test or benchmark call takes 8.3e7; the cap
+# keeps a call under about 10 s and refuses alternating AND/OR formulas of
+# fan-in 3 from depth 4 (541,216 visits) on.
+SAMPLE_WORK_CAP = 10**9
+VISIT_OVERHEAD = 4096
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,15 @@ class CompiledRecipe:
     @property
     def theoretical_bound(self) -> float:
         return theoretical_degree(self.formula_size, max(self.formula_depth - 1, 0))
+
+    @cached_property
+    def visits(self) -> int:
+        """Node visits of one sampler traversal: a reduction visits its child t times."""
+        def count(node: RecipeNode) -> int:
+            if isinstance(node, ReduceNode):
+                return 1 + node.t * count(node.child)
+            return 1 + sum(map(count, getattr(node, "children", ())))
+        return count(self.root)
 
     def ledger(self) -> list[dict]:
         """The rows of ledger.csv, one per node in preorder: `size_i` is the
@@ -309,36 +326,6 @@ def _powi(x: float, k: int) -> float:
     return r
 
 
-def formula_size_lower_bound(d: int, degree_lb: int) -> int | float:
-    """Least formula size s whose certified degree bound at depth d reaches
-    degree_lb; any function of approximate degree >= degree_lb needs depth-d
-    formulas at least this large.  Returns inf when depth d cannot reach it
-    at any size (d = 1 caps at degree 3).
-    """
-    if degree_lb < 1:
-        raise ValueError("degree lower bound must be >= 1")
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    dd = d - 1
-    if theoretical_degree(1, dd) >= degree_lb:
-        return 1
-    if dd == 0:
-        return math.inf
-    hi = 2
-    while theoretical_degree(hi, dd) < degree_lb:
-        hi *= 2
-        if hi > 2**4096:
-            return math.inf
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if theoretical_degree(mid, dd) >= degree_lb:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # sampling: one bitsliced traversal
 
@@ -408,6 +395,15 @@ def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.nd
     return np.invert(product, out=product) if kind is GateKind.AND else product  # = 1 + prod_j (1 + <S_j, y>)
 
 
+def check_sample_work(recipe: CompiledRecipe, rows: int, words: int) -> None:
+    """ResourceLimitError if one traversal over rows x lane words takes more
+    than SAMPLE_WORK_CAP word operations."""
+    work = recipe.visits * (rows * words + VISIT_OVERHEAD)
+    if work > SAMPLE_WORK_CAP:
+        raise ResourceLimitError(f"sampling needs {work:.3g} word operations ({recipe.visits} node visits), "
+                                 f"over compiler.SAMPLE_WORK_CAP = {SAMPLE_WORK_CAP:.0e}")
+
+
 def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
     """Draw one polynomial: lane 0 of ``sample_tables(recipe, N, seed)`` for any N.
 
@@ -422,6 +418,7 @@ def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> in
     """Value of sample(recipe, seed) at x, without materializing the polynomial:
     lane 0 of a single row, whose variable columns are all ones or all zeros."""
     mask = _as_mask(recipe.n, x)
+    check_sample_work(recipe, 1, 1)
     columns = -np.array([mask >> i & 1 for i in range(recipe.n)], dtype=np.uint64)[:, None]
     return int(_eval_node(recipe.root, _Lanes(columns, 1, 0), seed, ())[0, 0] & np.uint64(1))
 
@@ -433,10 +430,12 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
     past n_samples are 0.  Samples are lanes of the sampler, numbered from
     lane chunk `chunk` on: lane c * LANE_CHUNK + l draws from (seed, node
     path, c), so a lane's polynomial does not depend on how many are drawn.
+    Raises ResourceLimitError above n = 20, and above SAMPLE_WORK_CAP (as eval_sample does).
     """
     n = recipe.n
     if n > SAMPLE_TABLE_MAX_N:
         raise ResourceLimitError(f"sampling capped at n <= {SAMPLE_TABLE_MAX_N}, got {n}")
+    check_sample_work(recipe, 1 << n, -(-n_samples // 64))
     columns = -(np.arange(1 << n, dtype=np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & 1)
     out = np.empty((1 << n, -(-n_samples // 64)), dtype=np.uint64)
     for c, w in enumerate(range(0, out.shape[1], LANE_CHUNK // 64), chunk):

@@ -6,7 +6,7 @@ class ApxMajError(Exception):
 
 
 class ParseError(ApxMajError):
-    """Malformed netlist / formula / polynomial / truth-table input.
+    """Malformed netlist / formula / truth-table input.
 
     Carries 1-based line/column positions when they are known.
     """

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ResourceLimitError
+from .errors import DimensionError, ResourceLimitError
 
 TRUTH_TABLE_MAX_N = 24
 
@@ -37,30 +37,6 @@ class SparsePolyF2:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def zero(n: int) -> SparsePolyF2:
-    return SparsePolyF2(n, frozenset())
-
-
-def one(n: int) -> SparsePolyF2:
-    return SparsePolyF2(n, frozenset({0}))
-
-
-def add(p: SparsePolyF2, q: SparsePolyF2) -> SparsePolyF2:
-    if p.n != q.n:
-        raise DimensionError(f"adding polynomials over {p.n} and {q.n} variables")
-    return SparsePolyF2(p.n, p.monomials ^ q.monomials)
-
-
-def eval_poly(p: SparsePolyF2, x: Sequence[int] | int) -> int:
-    """XOR over monomials of the AND of their variables at x."""
-    mask = _as_mask(p.n, x)
-    v = 0
-    for m in p.monomials:
-        if mask & m == m:
-            v ^= 1
-    return v
 
 
 def _as_mask(n: int, x: Sequence[int] | int) -> int:
@@ -181,18 +157,8 @@ def _set_bits(words: np.ndarray) -> list[int]:
     return out
 
 
-def to_truth_table(p: SparsePolyF2) -> int:
-    if p.n > TRUTH_TABLE_MAX_N:
-        raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}")
-    coeffs = np.zeros(table_words(p.n), dtype=np.uint64)
-    monos = np.fromiter(p.monomials, dtype=np.uint64, count=len(p.monomials))
-    np.bitwise_or.at(coeffs, monos >> np.uint64(6), np.uint64(1) << (monos & np.uint64(63)))
-    vals = mobius_transform(coeffs, p.n)
-    return int.from_bytes(vals.astype("<u8").tobytes(), "little")
-
-
 # ---------------------------------------------------------------------------
-# text format: monomials joined by " + ", e.g. "x0*x2 + x3 + 1"; zero is "0"
+# text format: monomials joined by " + ", e.g. "1 + x3 + x0*x2"; zero is "0"
 
 def format_poly(p: SparsePolyF2) -> str:
     if not p.monomials:
@@ -204,43 +170,5 @@ def format_poly(p: SparsePolyF2) -> str:
     return " + ".join(parts)
 
 
-def parse_poly(text: str, n: int) -> SparsePolyF2:
-    """Accepts unordered monomials; repeated monomials cancel in pairs."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty polynomial")
-    if text == "0":
-        return zero(n)
-    monos: set[int] = set()
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            raise ParseError("empty term in polynomial")
-        if term == "1":
-            monos ^= {0}
-            continue
-        mask = 0
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor.startswith("x"):
-                raise ParseError(f"bad factor '{factor}'")
-            try:
-                i = int(factor[1:])
-            except ValueError:
-                raise ParseError(f"bad variable '{factor}'") from None
-            if not 0 <= i < n:
-                raise ParseError(f"variable x{i} out of range for n={n}")
-            mask |= 1 << i
-        monos ^= {mask}
-    return SparsePolyF2(n, frozenset(monos))
-
-
 def _indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

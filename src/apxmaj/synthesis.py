@@ -531,14 +531,6 @@ def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float,
     )
 
 
-def eps0_inequalities_hold(beta: float) -> tuple[bool, bool]:
-    """The two smallness inequalities behind eps0 = 1/2:
-    exp(-b) <= 1 - b*exp(-b)  and  1 - b >= exp(-b - b^2)."""
-    first = math.exp(-beta) <= 1.0 - beta * math.exp(-beta)
-    second = 1.0 - beta >= math.exp(-beta - beta * beta)
-    return first, second
-
-
 def tail_mass(n: int, eps: float) -> float:
     """Exact probability that a uniform input has weight strictly inside
     (n/2 - eps*sqrt(n), n/2 + eps*sqrt(n)); log-gamma evaluation per term."""

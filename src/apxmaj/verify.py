@@ -13,6 +13,7 @@ of least basis-subset index wins, which makes witnesses deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -95,10 +96,15 @@ def degree_basis(n: int, degree: int) -> list[int]:
     return sorted(monos, key=lambda m: (m.bit_count(), _indices(m)))
 
 
-def monomial_table(n: int, mask: int) -> int:
-    idx = np.arange(1 << n, dtype=np.uint32)
-    bits = ((idx & mask) == mask).astype(np.uint8)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+@functools.cache
+def _monomial_tables(n: int) -> np.ndarray:
+    """(2^n,) uint32, n <= 5: entry m is the truth table of monomial m (bit j
+    set iff j contains m), which is also the ANF of the unit vector at m."""
+    j = np.arange(1 << n, dtype=np.uint32)
+    contains = (j & j[:, None]) == j[:, None]  # [m, j]
+    tables = np.bitwise_or.reduce(contains.astype(np.uint32) << j, axis=1)
+    tables.flags.writeable = False
+    return tables
 
 
 def _span(n: int, masks: Sequence[int]) -> np.ndarray:
@@ -106,8 +112,7 @@ def _span(n: int, masks: Sequence[int]) -> np.ndarray:
     entry i holding the subset whose bit j selects masks[j] (by doubling)."""
     tables = np.zeros(1 << len(masks), dtype=np.uint32)
     for j, mask in enumerate(masks):
-        np.bitwise_xor(tables[:1 << j], np.uint32(monomial_table(n, mask)),
-                       out=tables[1 << j:2 << j])
+        np.bitwise_xor(tables[:1 << j], _monomial_tables(n)[mask], out=tables[1 << j:2 << j])
     return tables
 
 
@@ -174,7 +179,7 @@ def _ball_level(n: int, basis: list[int], anf: SparsePolyF2,
     """
     size = 1 << n
     high = np.uint32(sum(1 << m for m in range(size)) ^ sum(1 << m for m in basis))
-    units = [np.uint32(monomial_table(n, p)) for p in range(size)]
+    units = _monomial_tables(n)
     layer = np.array([sum(1 << m for m in anf.monomials)], dtype=np.uint32)
     best = None
     for k in range(min(allowed, size) + 1):

@@ -47,59 +47,48 @@ def unfold_to_formula(c: CircuitDag) -> FormulaNode:
     return build(c.outputs[0])
 
 
+# each gate kind's value on its operands' bits
+ORACLE_GATES = {GateKind.CONST0: lambda b: 0, GateKind.CONST1: lambda b: 1, GateKind.NOT: lambda b: 1 - b[0],
+                GateKind.AND: lambda b: int(all(b)), GateKind.OR: lambda b: int(any(b)),
+                GateKind.XOR: lambda b: sum(b) % 2}
+
+
 def oracle_eval_dag(c: CircuitDag, x: list[int]) -> list[int]:
-    vals = {}
-    for i, g in enumerate(c.gates):
-        if g.kind is GateKind.INPUT:
-            vals[i] = x[i] & 1
-        elif g.kind is GateKind.CONST0:
-            vals[i] = 0
-        elif g.kind is GateKind.CONST1:
-            vals[i] = 1
-        else:
-            bits = [vals[a] for a in g.args]
-            if g.kind is GateKind.NOT:
-                vals[i] = 1 - bits[0]
-            elif g.kind is GateKind.AND:
-                vals[i] = int(all(bits))
-            elif g.kind is GateKind.OR:
-                vals[i] = int(any(bits))
-            else:
-                vals[i] = sum(bits) % 2
+    vals = []
+    for g in c.gates:
+        vals.append(x[len(vals)] & 1 if g.kind is GateKind.INPUT else ORACLE_GATES[g.kind]([vals[a] for a in g.args]))
     return [vals[o] for o in c.outputs]
 
 
 def oracle_eval_formula(f: FormulaNode, x: list[int]) -> int:
     if f.kind is GateKind.INPUT:
         return x[f.var] & 1
-    if f.kind is GateKind.CONST0:
-        return 0
-    if f.kind is GateKind.CONST1:
-        return 1
-    bits = [oracle_eval_formula(c, x) for c in f.children]
-    if f.kind is GateKind.NOT:
-        return 1 - bits[0]
-    if f.kind is GateKind.AND:
-        return int(all(bits))
-    if f.kind is GateKind.OR:
-        return int(any(bits))
-    return sum(bits) % 2
+    return ORACLE_GATES[f.kind]([oracle_eval_formula(c, x) for c in f.children])
 
 
 def oracle_table_formula(f: FormulaNode, n: int) -> int:
-    table = 0
-    for j in range(1 << n):
-        x = [(j >> i) & 1 for i in range(n)]
-        table |= oracle_eval_formula(f, x) << j
-    return table
+    return sum(oracle_eval_formula(f, [(j >> i) & 1 for i in range(n)]) << j for j in range(1 << n))
 
 
 def oracle_table_dag(c: CircuitDag, output: int = 0) -> int:
-    table = 0
-    for j in range(1 << c.n_inputs):
-        x = [(j >> i) & 1 for i in range(c.n_inputs)]
-        table |= oracle_eval_dag(c, x)[output] << j
-    return table
+    n = c.n_inputs
+    return sum(oracle_eval_dag(c, [(j >> i) & 1 for i in range(n)])[output] << j for j in range(1 << n))
+
+
+def brute_table(p) -> list[int]:
+    """Independent pointwise evaluation of a SparsePolyF2: XOR over monomials of AND of vars."""
+    out = []
+    for j in range(1 << p.n):
+        v = 0
+        for m in p.monomials:
+            v ^= int(all(j >> i & 1 for i in range(p.n) if m >> i & 1))
+        out.append(v)
+    return out
+
+
+def majority(x: list[int]) -> int:
+    """1 iff strictly more than half the bits are 1 (ties go to 0)."""
+    return int(2 * sum(b & 1 for b in x) > len(x))
 
 
 def oracle_mobius_transform(rows: np.ndarray) -> np.ndarray:
@@ -193,6 +182,26 @@ def random_formula(rng: np.random.Generator, n: int, depth: int,
     return f
 
 
+def formula_text(f: FormulaNode) -> str:
+    """The s-expression that `parse_formula` reads as f (which has no constants)."""
+    if f.kind is GateKind.INPUT:
+        return f"x{f.var}"
+    return f"({f.kind.value.lower()} {' '.join(map(formula_text, f.children))})"
+
+
+def alternating_formula(depth: int, fan_in: int, n: int) -> str:
+    """s-expression of AND and OR levels alternating up to an OR at odd depth,
+    every gate of fan-in `fan_in`, leaves cycling through x0 .. x{n-1}."""
+    leaves = iter(range(fan_in ** depth))
+
+    def build(d: int) -> str:
+        if d == 0:
+            return f"x{next(leaves) % n}"
+        return f"({('and', 'or')[d % 2]} {' '.join(build(d - 1) for _ in range(fan_in))})"
+
+    return build(depth)
+
+
 def random_dag(rng: np.random.Generator, n: int, max_gates: int = 12,
                max_depth: int = 4) -> CircuitDag:
     """Random single-output DAG; AND/OR/XOR gates have fan-in >= 2 so that
@@ -229,10 +238,6 @@ def reference_synth(p, seed: int) -> tuple[CircuitDag, tuple[tuple[int, int], ..
         ranges.append((start, len(gates)))
         prev_start, prev_count = start, spec.width
     return dag_from_gates(p.n, tuple(gates), (len(gates) - 1,)), tuple(ranges)
-
-
-def random_assignment(rng: np.random.Generator, n: int) -> list[int]:
-    return [int(b) for b in rng.integers(0, 2, size=n)]
 
 
 @pytest.fixture

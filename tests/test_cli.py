@@ -1,9 +1,11 @@
 import argparse
+import ast
 import dataclasses
 import inspect
 import json
 import runpy
 import shutil
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,11 +15,14 @@ import pytest
 import apxmaj
 from apxmaj import compiler
 from apxmaj import synthesis as S
-from apxmaj.circuits import FormulaNode, GateKind, serialize_formula, var
+from apxmaj.circuits import FormulaNode, GateKind
 from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE,
                         EXIT_USAGE, _build_parser, main)
 
-from conftest import lane_bits, oracle_table_formula, random_formula
+from conftest import alternating_formula, formula_text, lane_bits, oracle_table_formula, random_formula
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -84,6 +89,26 @@ def test_compile_above_16_variables_writes_no_error_table(workdir, capsys):
     assert (workdir / "o/recipe.json").exists()
 
 
+def test_compile_over_the_sample_work_cap_writes_no_error_table(workdir, capsys):
+    # alternating AND/OR of fan-in 3 at depth 5, 27.6 million node visits: as
+    # above 16 variables, and the cap is named on stdout
+    (workdir / "f.sexpr").write_text(alternating_formula(5, 3, 12) + "\n")
+    start = time.perf_counter()
+    assert run(["compile", "f.sexpr", "--out", "o"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("compiled: size=243 depth=5 ") and "max_sampled_degree=" not in out[0]
+    assert out[1] == ("no error table: sampling needs 3.73e+12 word operations (27602020 node visits), "
+                      "over compiler.SAMPLE_WORK_CAP = 1e+09")
+    reports = ["recipe.json", "ledger.csv", "errors.csv"]
+    assert _sidecar(workdir / "o", "recipe.json", reports) == {"seed": 0, "reports": reports}
+    assert (workdir / "o/errors.csv").read_bytes() == b""
+    # the whole --trials counts: at depth 3, each 4,096-lane chunk of 30,000 trials is under the cap
+    (workdir / "f.sexpr").write_text(alternating_formula(3, 3, 8) + "\n")
+    assert run(["compile", "f.sexpr", "--trials", "30000", "--out", "o"]) == EXIT_OK
+    assert "no error table: " in capsys.readouterr().out
+
+
 def test_compile_depth2_child_budgets(workdir):
     (workdir / "f.sexpr").write_text("(or (and x0 x1) (and x2 x3))\n")
     assert run(["compile", "f.sexpr", "--out", "o", "--trials", "200"]) == EXIT_OK
@@ -146,8 +171,8 @@ def test_compile_errors_match_unpacked_samples(workdir, n):
     rng = np.random.default_rng(n)
     for seed in range(2):
         f = random_formula(rng, n, int(rng.integers(1, 4)), max_size=12)
-        f = FormulaNode(GateKind.XOR, (f, var(n - 1))) if f.n_vars < n else f
-        (workdir / "f.sexpr").write_text(serialize_formula(f))
+        f = FormulaNode(GateKind.XOR, (f, FormulaNode(GateKind.INPUT, var=n - 1))) if f.n_vars < n else f
+        (workdir / "f.sexpr").write_text(formula_text(f))
         assert run(["compile", "f.sexpr", "--seed", str(seed), "--trials", "300",
                     "--out", "o"]) == EXIT_OK
         tables = compiler.sample_tables(compiler.compile_formula(f), 300, seed)
@@ -471,11 +496,10 @@ def test_check_lemma_memory_flat_in_trials(workdir):
 
 def test_bound_checks_reproduced(workdir):
     # scripts/run_bound_checks.py writes the committed bound_checks/ byte for byte
-    repo = Path(__file__).resolve().parent.parent
-    assert runpy.run_path(str(repo / "scripts/run_bound_checks.py"))["main"]() == 0
+    assert runpy.run_path(str(ROOT / "scripts/run_bound_checks.py"))["main"]() == 0
     for kind in ("inequality", "lemma", "gamma", "tails"):
         name = f"bound_checks/{kind}/check_{kind}.json"
-        assert (workdir / name).read_bytes() == (repo / name).read_bytes(), name
+        assert (workdir / name).read_bytes() == (ROOT / name).read_bytes(), name
 
 
 def test_grid_values_of_each_kind_accepted(workdir):
@@ -572,30 +596,74 @@ def test_library_surface():
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == [
         "CircuitDag", "CompiledRecipe", "DegreeCertificate", "FormulaNode", "GateKind",
-        "SparsePolyF2", "SynthPlan", "SynthResult", "TruthTable", "add", "bias_recurrence",
+        "SparsePolyF2", "SynthPlan", "SynthResult", "TruthTable", "bias_recurrence",
         "certify_approx_majority", "check_key_inequality", "check_technical_lemma",
         "compile_formula", "emit_report", "empirical_level_check", "error_reduce",
-        "eval_poly", "eval_sample", "formula_size_lower_bound", "from_truth_table",
-        "level_checks", "majority", "min_approx_degree", "parse_formula", "parse_netlist",
-        "plan", "razborov_gate_recipe", "resample_until_valid", "sample",
-        "serialize_formula", "serialize_netlist", "synth", "tail_mass",
-        "theoretical_degree"]
+        "eval_sample", "from_truth_table", "level_checks", "min_approx_degree", "parse_formula",
+        "parse_netlist", "plan", "razborov_gate_recipe", "resample_until_valid", "sample",
+        "serialize_netlist", "synth", "tail_mass", "theoretical_degree"]
     assert not hasattr(apxmaj.CircuitDag, "from_gates")
     assert not any(hasattr(compiler, name) for name in ("LedgerEntry", "ledger_csv_rows"))
     assert compiler._Lanes._fields == ("columns", "words", "chunk")
     assert not any(hasattr(apxmaj.verify, name) for name in ("TriangleReport", "triangle_corollary_check"))
     assert not any(hasattr(apxmaj.TruthTable, name) for name in ("from_poly", "distance", "value"))
     assert not hasattr(apxmaj.circuits, "unfold_to_formula")
+    deleted = {apxmaj.gf2poly: ["parse_poly", "zero", "one", "add", "eval_poly", "to_truth_table"],
+               apxmaj.circuits: ["serialize_formula", "var", "majority"], apxmaj.FormulaNode: ["gate_count"],
+               S: ["eps0_inequalities_hold"], compiler: ["formula_size_lower_bound"],
+               apxmaj.verify: ["monomial_table"]}
+    assert not [name for owner, names in deleted.items() for name in names if hasattr(owner, name)]
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (compiler.theoretical_degree, compiler.formula_size_lower_bound,
-                        compiler.razborov_gate_recipe)}
-    assert params == {"theoretical_degree": ["s", "d"],
-                      "formula_size_lower_bound": ["d", "degree_lb"],
-                      "razborov_gate_recipe": ["kind", "eps"]}
+              for f in (compiler.theoretical_degree, compiler.razborov_gate_recipe)}
+    assert params == {"theoretical_degree": ["s", "d"], "razborov_gate_recipe": ["kind", "eps"]}
     assert [f.name for f in dataclasses.fields(compiler.GateApproximator)] == ["kind", "eps", "k"]
     assert [f.name for f in dataclasses.fields(S.SynthPlan)] == [
         "n", "d", "eps", "mode", "a", "log_m", "log_m_top", "s_top", "gamma", "delta",
         "levels", "side_conditions", "side_values"]
+
+
+def _reads(tree: ast.AST) -> list[tuple[str, str, str | None, int]]:
+    """(kind, name, module, line) of each name read: "name" (bare), "attr" (module
+    set when read off an imported apxmaj module) or "import" (from a module)."""
+    modules = {a.asname or a.name: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and (n.level and n.module is None or n.module == "apxmaj") for a in n.names}
+    reads = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads.append(("name", n.id, None, n.lineno))
+        elif isinstance(n, ast.Attribute):
+            reads.append(("attr", n.attr, isinstance(n.value, ast.Name) and modules.get(n.value.id), n.lineno))
+        elif isinstance(n, ast.ImportFrom) and n.module and (n.level or n.module.startswith("apxmaj.")):
+            reads += [("import", a.name, n.module.removeprefix("apxmaj."), n.lineno) for a in n.names]
+    return reads
+
+
+def test_src_holds_only_code_that_the_package_or_its_users_call():
+    # each function, class, method and property of src/apxmaj (dunders aside) is
+    # read in the package outside its own body, or from outside it: imported from
+    # apxmaj or read off an apxmaj module in scripts/ or perfbench/, wrapped by
+    # perfbench's tracer, or used in README's Library code block (tests do not count)
+    outside = {name for path in [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+               for _, name, module, _ in _reads(ast.parse(path.read_text())) if module}
+    tracing = ast.parse((ROOT / "perfbench/tracing.py").read_text())
+    wrapped = next(n.value for n in tracing.body if isinstance(n, ast.Assign) and n.targets[0].id == "WRAPPED")
+    outside |= {part for _, qualname, _ in ast.literal_eval(wrapped) for part in qualname.split(".")}
+    library = (ROOT / "README.md").read_text().split("## Library\n")[1].split("```python\n")[1].split("```")[0]
+    outside |= {name for _, name, _, _ in _reads(ast.parse(library))}
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src/apxmaj").glob("*.py") if p.stem != "__init__"}
+    reads = [(where, *r) for where, tree in trees.items() for r in _reads(tree)]
+    unused = []
+    for module, tree in trees.items():
+        methods = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for d in c.body}
+        for d in ast.walk(tree):
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("__") and d.name not in outside:
+                # a method is read as an attribute of its name; a function or class by
+                # its name in its module, by an import from it, or off the module
+                if not any(kind == "attr" if id(d) in methods else (where if kind == "name" else source) == module
+                           for where, kind, name, source, line in reads
+                           if name == d.name and not (where == module and d.lineno <= line <= d.end_lineno)):
+                    unused.append(f"{module}.{d.name}")
+    assert unused == []
 
 
 def test_format_flag_removed(workdir, capsys):

@@ -13,7 +13,8 @@ from apxmaj.circuits import FormulaNode, GateKind, formula_to_dag, parse_formula
 from apxmaj.errors import ResourceLimitError
 from apxmaj.verify import TruthTable
 
-from conftest import lane_bits, oracle_sample_value, oracle_table_formula, random_formula
+from conftest import (alternating_formula, brute_table, lane_bits, oracle_sample_value, oracle_table_formula,
+                      random_formula)
 
 
 # --------------------------------------------------------------- gate recipes
@@ -156,8 +157,7 @@ def test_sample_deterministic_and_consistent():
     p2 = C.sample(r, 123)
     assert p1 == p2
     assert p1.degree <= r.degree_bound
-    for x in range(32):
-        assert g.eval_poly(p1, x) == C.eval_sample(r, x, 123)
+    assert brute_table(p1) == [C.eval_sample(r, x, 123) for x in range(32)]
     assert C.sample(r, 124) != p1 or True  # different seeds may coincide, no assert
 
 
@@ -171,8 +171,7 @@ def test_sample_is_the_batch_of_one(rng):
         s = int(rng.integers(2**32))
         p = C.sample(r, s)
         tables = C.sample_tables(r, 1, s)
-        row = np.packbits(lane_bits(tables, 1)[0], bitorder="little")
-        assert g.to_truth_table(p) == int.from_bytes(row.tobytes(), "little")
+        assert brute_table(p) == lane_bits(tables, 1)[0].tolist()
         assert int(C.table_degrees(tables, r.n)[0]) == p.degree
 
 
@@ -197,7 +196,7 @@ def test_sample_tables_match_scalar_oracle(rng, lanes):
             want = [oracle_sample_value(r, x, s, lane, draws) for x in range(1 << n)]
             assert bits[lane].tolist() == want, lane
         p = C.sample(r, s)
-        assert [g.eval_poly(p, x) for x in range(1 << n)] == bits[0].tolist()
+        assert brute_table(p) == bits[0].tolist()
         assert [C.eval_sample(r, x, s) for x in range(1 << n)] == bits[0].tolist()
 
 
@@ -292,10 +291,28 @@ def test_sample_capped_at_table_cap():
         C.sample_tables(r, 1, 1)
 
 
+def test_sample_work_cap(monkeypatch):
+    # alternating AND/OR of fan-in 3 at depth 5: over the cap at one row and word
+    deep = C.compile_formula(parse_formula(alternating_formula(5, 3, 12)))
+    assert deep.visits == 27_602_020
+    for call in (lambda: C.sample_tables(deep, 1, 0), lambda: C.sample(deep, 0),
+                 lambda: C.eval_sample(deep, 0, 0)):
+        with pytest.raises(ResourceLimitError, match="SAMPLE_WORK_CAP"):
+            call()
+    # the largest sampler call of the tests and benchmark: OR_12 at 10^5 lanes
+    C.check_sample_work(C.compile_formula(parse_formula(alternating_formula(1, 12, 12))), 4096, 1563)
+    # a recipe exactly at the cap samples, and one lane word more is refused
+    r = C.compile_formula(parse_formula("(or (and x0 x1) (and x2 x3))"))
+    monkeypatch.setattr(C, "SAMPLE_WORK_CAP", r.visits * (16 * 2 + C.VISIT_OVERHEAD))
+    assert C.sample_tables(r, 128, 1).shape == (16, 2)
+    with pytest.raises(ResourceLimitError, match="SAMPLE_WORK_CAP"):
+        C.sample_tables(r, 129, 1)
+
+
 def test_single_xor_recipe_has_no_randomness():
     r = C.compile_formula(parse_formula("(xor x0 x1 x2)"))
     polys = {C.sample(r, s) for s in range(10)}
-    assert polys == {g.parse_poly("x0 + x1 + x2", 3)}
+    assert polys == {g.SparsePolyF2(3, frozenset({0b001, 0b010, 0b100}))}  # x0 + x1 + x2
 
 
 def test_compiled_error_empirical(rng):
@@ -367,22 +384,42 @@ def test_key_inequality_property(a, b, d):
     assert holds
 
 
+def formula_size_lower_bound(d: int, degree_lb: int) -> int | float:
+    """Least formula size s whose certified degree bound at depth d reaches
+    degree_lb: any function of approximate degree >= degree_lb needs depth-d
+    formulas at least this large.  inf when no size up to 2^4096 reaches it
+    (d = 1 caps at degree 3)."""
+    def reaches(s: int) -> bool:
+        return C.theoretical_degree(s, d - 1) >= degree_lb
+
+    hi = 1
+    while not reaches(hi):
+        hi *= 2
+        if d == 1 or hi > 2**4096:
+            return math.inf
+    lo = hi // 2
+    while lo + 1 < hi:  # bisect: reaches(hi), not reaches(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
 def test_formula_size_lower_bound_examples():
-    assert C.formula_size_lower_bound(3, 3) == 1
+    assert formula_size_lower_bound(3, 3) == 1
     prev = 0
     for lb in (3, 6, 12, 24, 48, 96):
-        s = C.formula_size_lower_bound(2, lb)
+        s = formula_size_lower_bound(2, lb)
         assert s >= prev
         prev = s
     # depth-1 formulas cap at degree 3
-    assert C.formula_size_lower_bound(1, 4) == math.inf
+    assert formula_size_lower_bound(1, 4) == math.inf
 
 
 def test_formula_size_lower_bound_closed_form_d2():
     # at d=2 the bound reads 3*c2*(log2 s + 1) >= lb, so s* = 2^(lb/(3 c2) - 1)
     from apxmaj.verify import majority_truth_table, min_approx_degree
     lb = min_approx_degree(majority_truth_table(5), 0.125).degree
-    got = C.formula_size_lower_bound(2, lb)
+    got = formula_size_lower_bound(2, lb)
     direct = 1
     while C.theoretical_degree(direct, 1) < lb:
         direct += 1
@@ -394,10 +431,10 @@ def test_formula_size_lower_bound_doubles_then_bisects(d, lbs):
     # every bound is above 3*C2^(d-1), the degree of size 1, so the search runs
     for lb in lbs:
         assert lb > 3 * C.C2 ** (d - 1)
-        s = C.formula_size_lower_bound(d, lb)
+        s = formula_size_lower_bound(d, lb)
         assert C.theoretical_degree(s, d - 1) >= lb > C.theoretical_degree(s - 1, d - 1), (d, lb)
     # depth 2 gains 3*C2 per doubling: 10^7 is out of reach below 2^4096
-    assert C.formula_size_lower_bound(2, 10**7) == math.inf
+    assert formula_size_lower_bound(2, 10**7) == math.inf
 
 
 def test_ledger_csv_shape():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from apxmaj.circuits import parse_formula, parse_netlist
 from apxmaj.cli import EXIT_RESOURCE, main
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
-from apxmaj.gf2poly import parse_poly
 from apxmaj.verify import TruthTable
 
 DOCUMENTED = (ParseError, DimensionError, ResourceLimitError)
@@ -30,7 +29,6 @@ NETLIST_TOKENS = ["input ", "output ", " = ", "AND ", "OR ", "NOT ", "XOR ", "CO
                   "INPUT ", "a ", "b ", "g ", "x0 ", "1a ", "#", "\n", "\n", " "]
 FORMULA_TOKENS = ["(", ")", "and ", "or ", "xor ", "not ", "x0 ", "x1 ", "x07 ", "x-1 ", "y ", ";",
                   "\n", " "]
-POLY_TOKENS = ["x0", "x1", "x3", "x9", "x", "*", "+", "1", "0", " ", "y"]
 
 
 @FUZZ
@@ -47,15 +45,6 @@ def test_fuzz_parse_netlist(text):
 def test_fuzz_parse_formula(text):
     try:
         parse_formula(text)
-    except DOCUMENTED:
-        pass
-
-
-@FUZZ
-@given(_token_text(POLY_TOKENS), st.integers(0, 8))
-def test_fuzz_parse_poly(text, n):
-    try:
-        parse_poly(text, n)
     except DOCUMENTED:
         pass
 

@@ -381,10 +381,3 @@ def test_tail_mass_matches_direct_sum():
     exact = sum(fractions.Fraction(math.comb(n, w), 2**n)
                 for w in range(n + 1) if n / 2 - half < w < n / 2 + half)
     assert S.tail_mass(n, eps) == pytest.approx(float(exact), rel=1e-12)
-
-
-def test_eps0_inequalities_on_grid():
-    for j in range(1, 10_001):
-        beta = j / 2e4  # (0, 1/2]
-        first, second = S.eps0_inequalities_hold(beta)
-        assert first and second

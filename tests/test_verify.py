@@ -12,28 +12,21 @@ from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
 from apxmaj import verify as V
 from apxmaj.compiler import compile_formula
-from apxmaj.circuits import Gate, GateKind, formula_to_dag, majority, parse_formula, parse_netlist
+from apxmaj.circuits import Gate, GateKind, formula_to_dag, parse_formula, parse_netlist
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
 
-from conftest import dag_from_gates, oracle_table_dag, random_dag
+from conftest import brute_table, dag_from_gates, majority, oracle_table_dag, random_dag
 
 
 def brute_min_degree(table_bits: int, n: int, eps: float) -> int:
     """Independent oracle: try all coefficient vectors over the degree-<=D
     monomial basis by direct pointwise evaluation."""
     allowed = math.floor(eps * (1 << n))
-    monos = [m for m in range(1 << n)]
     for d in range(n + 1):
-        basis = [m for m in monos if bin(m).count("1") <= d]
+        basis = [m for m in range(1 << n) if bin(m).count("1") <= d]
         for coeffs in range(1 << len(basis)):
-            dist = 0
-            for j in range(1 << n):
-                v = 0
-                for bi, m in enumerate(basis):
-                    if coeffs >> bi & 1 and (j & m) == m:
-                        v ^= 1
-                dist += v != (table_bits >> j) & 1
-            if dist <= allowed:
+            table = brute_table(g.SparsePolyF2(n, frozenset(m for bi, m in enumerate(basis) if coeffs >> bi & 1)))
+            if sum(v != (table_bits >> j) & 1 for j, v in enumerate(table)) <= allowed:
                 return d
     raise AssertionError
 
@@ -64,7 +57,7 @@ def test_min_approx_degree_or2():
     cert = V.min_approx_degree(or2, 0.25)
     assert brute_min_degree(0b1110, 2, 0.25) == 0
     assert cert.degree == 0
-    assert cert.witness == g.one(2)
+    assert cert.witness == g.SparsePolyF2(2, frozenset({0}))
     assert cert.distance == 1 == cert.allowed
 
 
@@ -75,7 +68,7 @@ def test_min_approx_degree_maj3():
     assert cert.degree == 2
     assert cert.distance <= cert.allowed == 1
     # recompute the witness distance independently
-    wt = sum(g.eval_poly(cert.witness, j) << j for j in range(8))
+    wt = sum(b << j for j, b in enumerate(brute_table(cert.witness)))
     assert bin(wt ^ 0xE8).count("1") == cert.distance
 
 
@@ -131,7 +124,8 @@ def test_min_approx_degree_ball_path_equals_span_path():
 def test_level3_hit_reports_span_size():
     # x0*x1*x2 is within 1 of itself at eps = 1/32, so the degree-3 level (26
     # monomials, a 2^26 span) hits; the 33-pattern ball finds it
-    f = V.TruthTable(5, g.to_truth_table(g.parse_poly("x0*x1*x2", 5)))
+    x012 = brute_table(g.SparsePolyF2(5, frozenset({0b111})))
+    f = V.TruthTable(5, sum(b << j for j, b in enumerate(x012)))
     cert = V.min_approx_degree(f, 1 / 32)
     assert cert.degree == 3 and cert.scanned[-1] == 1 << 26
 
@@ -172,8 +166,8 @@ def test_ball_matches_span_scan_at_degree3(coeffs, flips, eps):
     # against one sweep of the 2^26-candidate span (about 0.3 s and 350 MB
     # each, hence few examples)
     basis = V.degree_basis(5, 3)
-    bits = g.to_truth_table(g.SparsePolyF2(5, frozenset(
-        m for j, m in enumerate(basis) if coeffs >> j & 1)))
+    table = brute_table(g.SparsePolyF2(5, frozenset(m for j, m in enumerate(basis) if coeffs >> j & 1)))
+    bits = sum(b << j for j, b in enumerate(table))
     for j in flips:
         bits ^= 1 << j
     allowed = math.floor(eps * 32)
