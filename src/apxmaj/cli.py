@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--hex", dest="hex_table", help="truth table as 2^n bits of hex")
     src.add_argument("--netlist", help="netlist file (single output)")
-    sp.add_argument("--n", type=int, help="variable count (required with --hex)")
+    sp.add_argument("--n", type=int, help="variable count (with --hex only)")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_degree)
@@ -176,8 +176,8 @@ def cmd_compile(args) -> int:
         except ResourceLimitError as e:
             capped = f"\nno error table: {e}"
     if recipe.n <= 16 and not capped:
-        truth = verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits
-        truth = np.frombuffer(f"{truth:0{1 << recipe.n}b}".encode()[::-1], np.uint8) == ord("1")
+        truth = gf2poly.table_rows(verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits,
+                                   recipe.n)
         wrong, max_deg = np.zeros(truth.shape, dtype=np.int64), 0
         # one lane chunk at a time: per-input error counts and the largest
         # degree are all that is kept
@@ -272,9 +272,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degree(args) -> int:
+    if (args.hex_table is None) != (args.n is None):
+        raise ParseError("--hex needs --n" if args.n is None else "--n goes with --hex")
     if args.hex_table is not None:
-        if args.n is None:
-            raise ParseError("--hex needs --n")
         table = verify_mod.TruthTable.from_hex(args.hex_table, args.n)
     else:
         table = verify_mod.TruthTable.from_circuit(_single_output_netlist(args.netlist))

@@ -16,8 +16,10 @@ Sampling is deterministic in (seed, node path, lane chunk).  One bitsliced
 traversal, :func:`_eval_node`, serves every sampler (row = input point, bit =
 sample).  :func:`sample` is lane 0 of :func:`sample_tables`, capped at n <= 20
 as it is, and :func:`eval_sample` is that lane's value at one point, at any n:
-the same traversal over a single row.  A node of error bound 0 is the same in
-every sample: a (R, 1) column, each row all 0s or all 1s (see :class:`_Lanes`).
+the same traversal over a single row.  `sample` and :func:`table_degrees`
+read ANFs off these rows with `gf2poly.mobius_transform`.  A node of error
+bound 0 is the same in every sample: a (R, 1) column, each row all 0s or all
+1s (see :class:`_Lanes`).
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .circuits import FormulaNode, GateKind
 from .errors import ResourceLimitError
-from .gf2poly import SparsePolyF2, _as_mask, from_truth_table, majority_words, mobius_transform
+from .gf2poly import SparsePolyF2, _as_mask, majority_words, mobius_transform
 from .rng import rng_for
 
 # Error reduction uses majority over t = smallest odd integer >= 4*ln(1/eps)+1
@@ -168,8 +170,11 @@ def reduction_copies(eps: Fraction) -> int:
 class CompiledRecipe:
     root: RecipeNode
     n: int
-    formula_size: int
     formula_depth: int
+
+    @property
+    def formula_size(self) -> int:
+        return self.root.size
 
     @property
     def degree_bound(self) -> int:
@@ -233,12 +238,7 @@ class CompiledRecipe:
 def compile_formula(f: FormulaNode) -> CompiledRecipe:
     root = _compile(f)
     assert root.err_bound <= 0.125 + 1e-12
-    return CompiledRecipe(
-        root=root,
-        n=f.n_vars,
-        formula_size=f.size,
-        formula_depth=f.depth,
-    )
+    return CompiledRecipe(root=root, n=f.n_vars, formula_depth=f.depth)
 
 
 def _compile(f: FormulaNode) -> RecipeNode:
@@ -410,11 +410,11 @@ def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
     Deterministic in seed, degree <= degree_bound.  Capped at n <= 20, as
     sample_tables is; eval_sample reads the same lane at any n.
     """
-    lane0 = np.packbits(sample_tables(recipe, 1, seed)[:, 0].astype(np.uint8), bitorder="little")
-    return from_truth_table(int.from_bytes(lane0.tobytes(), "little"), recipe.n)
+    coeffs = mobius_transform(sample_tables(recipe, 1, seed), recipe.n)[:, 0] & np.uint64(1)
+    return SparsePolyF2(recipe.n, frozenset(np.flatnonzero(coeffs).tolist()))
 
 
-def eval_sample(recipe: CompiledRecipe, x: Sequence[int] | int, seed: int) -> int:
+def eval_sample(recipe: CompiledRecipe, x: int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial:
     lane 0 of a single row, whose variable columns are all ones or all zeros."""
     mask = _as_mask(recipe.n, x)
@@ -448,7 +448,7 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
 def table_degrees(tables: np.ndarray, n: int) -> np.ndarray:
     """ANF degree of every lane of bitsliced tables (the layout of
     sample_tables): a (64 W,) uint8 array, 0 for lanes that are all 0."""
-    coeffs = mobius_transform(tables, n, axis=0)
+    coeffs = mobius_transform(tables, n)
     weights = np.bitwise_count(np.arange(1 << n))
     by_weight = np.stack([np.bitwise_or.reduce(coeffs[weights == d]) for d in range(n + 1)])
     lanes = np.unpackbits(by_weight.astype("<u8").view(np.uint8), axis=1, bitorder="little")

@@ -5,6 +5,10 @@ an int bitmask of variable indices, the empty mask being the constant 1.
 This is the unique multilinear representative of a boolean function, so
 "degree" always means ANF degree.  The zero polynomial has degree 0 by
 convention.
+
+A truth table given as an int has bit j = f at assignment j (bit i of j =
+x_i); :func:`table_rows` turns it into rows, one per assignment, the one
+layout of :func:`mobius_transform`, which maps tables to ANF coefficients.
 """
 
 from __future__ import annotations
@@ -39,18 +43,10 @@ class SparsePolyF2:
         return format_poly(self)
 
 
-def _as_mask(n: int, x: Sequence[int] | int) -> int:
-    if isinstance(x, int):
-        if x < 0 or x >> n:
-            raise DimensionError(f"{x:#x} does not fit {n} bits")
-        return x
-    if len(x) != n:
-        raise DimensionError(f"expected {n} bits, got {len(x)}")
-    mask = 0
-    for i, b in enumerate(x):
-        if b & 1:
-            mask |= 1 << i
-    return mask
+def _as_mask(n: int, x: int) -> int:
+    if x < 0 or x >> n:
+        raise DimensionError(f"{x:#x} does not fit {n} bits")
+    return x
 
 
 # Packed truth tables: bit b of word w is the value at assignment 64*w + b.
@@ -106,55 +102,33 @@ def majority_words(rows: Sequence[np.ndarray], full) -> np.ndarray:
     return ge | eq
 
 
-def from_truth_table(bits: int | Sequence[int], n: int) -> SparsePolyF2:
-    """Unique multilinear ANF of a truth table (Moebius transform over F2).
-
-    ``bits`` is an int whose bit j is f at assignment j, or a 2^n sequence.
-    """
+def table_rows(bits: int, n: int) -> np.ndarray:
+    """(2^n,) uint8 0/1 truth table of the int whose bit j is f at assignment j."""
     if n > TRUTH_TABLE_MAX_N:
         raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}, got {n}")
-    table = _as_mask(1 << n, bits)
-    words = np.frombuffer(table.to_bytes(8 * table_words(n), "little"), dtype="<u8")
-    coeffs = mobius_transform(words & valid_words(n), n)
-    return SparsePolyF2(n, frozenset(_set_bits(coeffs)))
+    raw = _as_mask(1 << n, bits).to_bytes(((1 << n) + 7) >> 3, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=1 << n, bitorder="little")
 
 
-def mobius_transform(rows: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
-    """XOR Moebius transform of truth tables (self-inverse), in their layout:
-    entry S of the result is the ANF coefficient of the monomial S.
+def from_truth_table(bits: int, n: int) -> SparsePolyF2:
+    """Unique multilinear ANF of a truth table (Moebius transform over F2);
+    bit j of the int ``bits`` is f at assignment j."""
+    return SparsePolyF2(n, frozenset(np.flatnonzero(mobius_transform(table_rows(bits, n), n)).tolist()))
 
-    axis=-1: rows (..., W) uint64 packed tables, W = table_words(n); for
-    i < 6 variable i pairs bits within a word (masked shift-XOR), for i >= 6
-    whole words.  Bits past 2^n never reach the first 2^n.  axis=0: rows
-    (2^n, ...) uint64, entry j in row j, each bit its own table (the
-    bitsliced layout of `compiler.sample_tables`); variable i pairs rows.
+
+def mobius_transform(rows: np.ndarray, n: int) -> np.ndarray:
+    """XOR Moebius transform (self-inverse) of truth tables laid out by rows:
+    rows (2^n, ...), entry j in row j, every other position its own table
+    (a 0/1 column, or the bits of `compiler.sample_tables`' lanes).  Row S of
+    the result holds the ANF coefficients of the monomial S; the dtype is kept.
     """
-    if axis not in (0, -1):
-        raise ValueError(f"axis must be 0 or -1, got {axis}")
-    size, first = (1 << n, 0) if axis == 0 else (table_words(n), 6)
-    if rows.shape[axis] != size:
-        raise DimensionError(f"expected {size} entries on axis {axis} for n={n}, "
-                             f"got {rows.shape[axis]}")
-    a = np.array(rows, dtype=np.uint64)
-    for i in range(min(n, first)):
-        a ^= (a << np.uint64(1 << i)) & _LOW_VARS[i]
-    block = a.size // size if axis == 0 else 1  # words per entry of the paired axis
-    for i in range(first, n):
-        v = a.reshape(-1, 2, block << (i - first))
+    if rows.shape[:1] != (1 << n,):
+        raise DimensionError(f"expected {1 << n} rows for n={n}, got shape {rows.shape}")
+    a = np.array(rows, order="C")  # reshape must give views of it
+    for i in range(n):  # variable i pairs row j with row j + 2^i
+        v = a.reshape(1 << (n - 1 - i), 2, -1)
         v[:, 1] ^= v[:, 0]
     return a
-
-
-def _set_bits(words: np.ndarray) -> list[int]:
-    """Indices of the set bits of a packed (W,) table."""
-    out = []
-    for w in np.flatnonzero(words):
-        x, base = int(words[w]), int(w) << 6
-        while x:
-            low = x & -x
-            out.append(base + low.bit_length() - 1)
-            x ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

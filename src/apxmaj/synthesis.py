@@ -358,19 +358,16 @@ class LevelObservation:
     band_membership: str | None  # I0/I1 (AND levels), J0/J1 (OR levels), None
 
 
-def level_checks(result: SynthResult,
-                 xs: Sequence[Sequence[int] | int]) -> list[list[LevelObservation]]:
+def level_checks(result: SynthResult, xs: Sequence[int]) -> list[list[LevelObservation]]:
     """Evaluate every assignment of xs in one pass and report, per assignment,
     the per-level ones-fractions against the mean-field prediction, plus
     membership in the one-sided count sets around M*e^-A: I0/I1 bound the ones
     of an AND level from below/above, J1/J0 the zeros of an OR level."""
-    p = result.plan
-    masks = [_as_mask(p.n, x) for x in xs]
-    ones = result.level_ones(masks)
-    return [_observations(p, m.bit_count(), ones[:, j]) for j, m in enumerate(masks)]
+    ones = result.level_ones(xs)  # pack_lanes range-checks every point
+    return [_observations(result.plan, x.bit_count(), ones[:, j]) for j, x in enumerate(xs)]
 
 
-def empirical_level_check(result: SynthResult, x: Sequence[int] | int) -> list[LevelObservation]:
+def empirical_level_check(result: SynthResult, x: int) -> list[LevelObservation]:
     """`level_checks` of the one assignment x."""
     return level_checks(result, [x])[0]
 
@@ -397,7 +394,7 @@ def _observations(p: SynthPlan, w: int, counts: np.ndarray) -> list[LevelObserva
     return out
 
 
-def resample_until_valid(p: SynthPlan, witnesses: Sequence[Sequence[int] | int],
+def resample_until_valid(p: SynthPlan, witnesses: Sequence[int],
                          max_tries: int, seed: int,
                          slack_sigmas: float = 3.0) -> tuple[SynthResult, int, dict[int, int]]:
     """Draw circuits until one keeps every witness within slack_sigmas of its

@@ -360,6 +360,13 @@ def test_degree_hex_needs_n(workdir, capsys):
     assert not (workdir / "d").exists()
 
 
+def test_degree_n_goes_with_hex_only(workdir, capsys):
+    (workdir / "c.netlist").write_text("input x0\ninput x1\ng = AND x0 x1\noutput g\n")
+    assert run(["degree", "--netlist", "c.netlist", "--n", "7", "--eps", "0.125", "--out", "d"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --n goes with --hex\n"
+    assert not (workdir / "d").exists()
+
+
 def test_no_subcommand_prints_help(workdir, capsys):
     assert run([]) == EXIT_USAGE
     out = capsys.readouterr().out
@@ -608,15 +615,18 @@ def test_library_surface():
     assert not any(hasattr(apxmaj.verify, name) for name in ("TriangleReport", "triangle_corollary_check"))
     assert not any(hasattr(apxmaj.TruthTable, name) for name in ("from_poly", "distance", "value"))
     assert not hasattr(apxmaj.circuits, "unfold_to_formula")
-    deleted = {apxmaj.gf2poly: ["parse_poly", "zero", "one", "add", "eval_poly", "to_truth_table"],
+    deleted = {apxmaj.gf2poly: ["parse_poly", "zero", "one", "add", "eval_poly", "to_truth_table", "_set_bits"],
                apxmaj.circuits: ["serialize_formula", "var", "majority"], apxmaj.FormulaNode: ["gate_count"],
                S: ["eps0_inequalities_hold"], compiler: ["formula_size_lower_bound"],
                apxmaj.verify: ["monomial_table"]}
     assert not [name for owner, names in deleted.items() for name in names if hasattr(owner, name)]
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (compiler.theoretical_degree, compiler.razborov_gate_recipe)}
-    assert params == {"theoretical_degree": ["s", "d"], "razborov_gate_recipe": ["kind", "eps"]}
+              for f in (compiler.theoretical_degree, compiler.razborov_gate_recipe,
+                        apxmaj.gf2poly.mobius_transform)}
+    assert params == {"theoretical_degree": ["s", "d"], "razborov_gate_recipe": ["kind", "eps"],
+                      "mobius_transform": ["rows", "n"]}
     assert [f.name for f in dataclasses.fields(compiler.GateApproximator)] == ["kind", "eps", "k"]
+    assert [f.name for f in dataclasses.fields(compiler.CompiledRecipe)] == ["root", "n", "formula_depth"]
     assert [f.name for f in dataclasses.fields(S.SynthPlan)] == [
         "n", "d", "eps", "mode", "a", "log_m", "log_m_top", "s_top", "gamma", "delta",
         "levels", "side_conditions", "side_values"]

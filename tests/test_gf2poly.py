@@ -8,7 +8,7 @@ from apxmaj import gf2poly as g
 from apxmaj.circuits import parse_formula
 from apxmaj.errors import DimensionError, ResourceLimitError
 
-from conftest import brute_table, oracle_mobius_transform
+from conftest import brute_table, lane_bits, oracle_mobius_transform
 
 
 MAJ3 = g.SparsePolyF2(3, frozenset({0b011, 0b101, 0b110}))  # x0*x1 + x0*x2 + x1*x2
@@ -30,34 +30,22 @@ def test_from_truth_table_examples():
     assert g.from_truth_table(0xE8, 3) == MAJ3
 
 
-def _pack_rows(bits: np.ndarray, n: int) -> np.ndarray:
-    """(rows, 2^n) 0/1 uint8 -> (rows, W) uint64 packed tables."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    padded = np.zeros((bits.shape[0], 8 * g.table_words(n)), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return padded.view("<u8")
-
-
 @pytest.mark.parametrize("n", range(11))
 def test_packed_mobius_matches_uint8_oracle(rng, n):
-    bits = rng.integers(0, 2, size=(16, 1 << n), dtype=np.uint8)
-    got = g.mobius_transform(_pack_rows(bits, n), n)
-    assert np.array_equal(got, _pack_rows(oracle_mobius_transform(bits), n))
-    assert np.array_equal(g.mobius_transform(got, n), _pack_rows(bits, n))
-
-
-@pytest.mark.parametrize("n", range(11))
-def test_mobius_row_axis_matches_word_axis(rng, n):
-    # the same 130 tables, packed one per row and bitsliced one per lane bit
+    # the same 130 tables as uint8 0/1 rows and as bitsliced uint64 lanes
     bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
+    want = oracle_mobius_transform(bits)
+    got = g.mobius_transform(bits.T, n)
+    assert got.dtype == np.uint8 and np.array_equal(got, want.T)
+    assert np.array_equal(g.mobius_transform(got, n), bits.T)
     sliced = np.zeros((1 << n, 24), dtype=np.uint8)
     sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
-    by_rows = g.mobius_transform(sliced.view("<u8"), n, axis=0)
-    lanes = np.unpackbits(by_rows.view(np.uint8), axis=1, count=130, bitorder="little").T
-    assert np.array_equal(_pack_rows(lanes, n), g.mobius_transform(_pack_rows(bits, n), n))
-    assert np.array_equal(g.mobius_transform(by_rows, n, axis=0), sliced.view("<u8"))
-    with pytest.raises(DimensionError):
-        g.mobius_transform(sliced.view("<u8")[1:], n, axis=0)
+    lanes = g.mobius_transform(sliced.view("<u8"), n)
+    assert lanes.dtype == np.uint64 and np.array_equal(lane_bits(lanes, 130), want)
+    assert np.array_equal(g.mobius_transform(lanes, n), sliced.view("<u8"))
+    for wrong in (bits.T[1:], bits, np.uint8(1)):
+        with pytest.raises(DimensionError):
+            g.mobius_transform(wrong, n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -89,6 +77,10 @@ def test_int_inputs_must_fit_their_width():
                  lambda: C.eval_sample(xor3, 1 << 10, 0),
                  lambda: C.eval_sample(xor3, -1, 0)):
         with pytest.raises(DimensionError):
+            call()
+    for call in (lambda: g.from_truth_table([0, 0, 0, 1], 2),
+                 lambda: C.eval_sample(xor3, [1, 1, 0], 0)):
+        with pytest.raises(TypeError):  # a list of bits is not a table or a point
             call()
     assert g.from_truth_table(0xE8, 3) == MAJ3
     assert C.eval_sample(xor3, 0b011, 0) == 0

@@ -256,12 +256,14 @@ def test_level_checks_match_one_assignment_at_a_time(rng):
     res = S.synth(p, seed=5)
     xs = [0, (1 << 101) - 1] + [int(m) for m in rng.integers(0, 1 << 62, size=68)]
     xs += [sum(1 << int(i) for i in rng.permutation(101)[:w]) for w in (40, 50, 61)]
-    xs.append([int(b) for b in rng.integers(0, 2, 101)])
+    xs.append(sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, 101))))
     checks = S.level_checks(res, xs)
     assert checks == [S.empirical_level_check(res, x) for x in xs]
-    ones = res.level_ones([S._as_mask(101, x) for x in xs])
+    ones = res.level_ones(xs)
     assert ones.shape == (p.d, len(xs))
     assert [[o.ones for o in obs] for obs in checks] == ones.T.tolist()
+    with pytest.raises(TypeError):  # a point is an int, not a list of bits
+        S.level_checks(res, [[1] * 101])
 
 
 def test_resample_extreme_witnesses_first_try():
