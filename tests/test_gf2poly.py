@@ -32,20 +32,27 @@ def test_from_truth_table_examples():
 
 @pytest.mark.parametrize("n", range(11))
 def test_packed_mobius_matches_uint8_oracle(rng, n):
-    # the same 130 tables as uint8 0/1 rows and as bitsliced uint64 lanes
     bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
-    want = oracle_mobius_transform(bits)
     got = g.mobius_transform(bits.T, n)
-    assert got.dtype == np.uint8 and np.array_equal(got, want.T)
+    assert got.dtype == np.uint8 and np.array_equal(got, oracle_mobius_transform(bits).T)
     assert np.array_equal(g.mobius_transform(got, n), bits.T)
-    sliced = np.zeros((1 << n, 24), dtype=np.uint8)
-    sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
-    lanes = g.mobius_transform(sliced.view("<u8"), n)
-    assert lanes.dtype == np.uint64 and np.array_equal(lane_bits(lanes, 130), want)
-    assert np.array_equal(g.mobius_transform(lanes, n), sliced.view("<u8"))
     for wrong in (bits.T[1:], bits, np.uint8(1)):
         with pytest.raises(DimensionError):
             g.mobius_transform(wrong, n)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_mobius_row_axis_matches_word_axis(rng, n):
+    # the same 130 tables, one per uint8 0/1 column and bitsliced one per lane bit
+    bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
+    sliced = np.zeros((1 << n, 24), dtype=np.uint8)
+    sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
+    lanes = g.mobius_transform(sliced.view("<u8"), n)
+    assert lanes.dtype == np.uint64
+    assert np.array_equal(lane_bits(lanes, 130), g.mobius_transform(bits.T, n).T)
+    assert np.array_equal(g.mobius_transform(lanes, n), sliced.view("<u8"))
+    with pytest.raises(DimensionError):
+        g.mobius_transform(sliced.view("<u8")[1:], n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
