@@ -38,6 +38,8 @@ EXIT_INTERNAL = 4
 # counted work one `check` sweep may take: inequality cases, gamma steps,
 # tail-mass terms; the built-in grids take 133,128, 3,224 and 8,310 of it
 CHECK_WORK_CAP = 10**6
+# tuples `check lemma` draws per chunk: chunk c, tuples c * LEMMA_CHUNK on, is keyed by (seed, c)
+LEMMA_CHUNK = 4096
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -381,14 +383,14 @@ def _check_inequality(grid: dict) -> dict:
     dvals = grid.get("d", range(1, 9))
     _cap_work("inequality", len(avals) * b.size * len(dvals))
 
-    def rows():  # one (d, a) row over every b, with the float operations of scalar calls
+    def planes():  # one (a, b) plane per d, with the float operations of scalar calls
         for d in dvals:
-            for a in avals:
-                holds, gap = compiler.check_key_inequality(a, b, d)
-                _finite(gap)  # a gap past the float range is a bad grid, not a verdict
-                yield holds, lambda j: {"a": a, "b": float(b[j]), "d": d, "gap": float(gap[j])}
+            holds, gap = compiler.check_key_inequality(np.array(avals)[:, None], b, d)
+            _finite(gap)  # a gap past the float range is a bad grid, not a verdict
+            yield holds, lambda j: {"a": avals[j // b.size], "b": float(b[j % b.size]), "d": d,
+                                    "gap": float(gap.flat[j])}
     with np.errstate(over="ignore", invalid="ignore"):
-        return _summary(rows())
+        return _summary(planes())
 
 
 def _check_gamma(grid: dict) -> dict:
@@ -421,41 +423,51 @@ def _check_tails(grid: dict) -> dict:
 
 def _check_lemma(grid: dict, trials: int, seed: int) -> dict:
     """Tuples that fail the lemma's hypotheses are skipped, not checked."""
+    keys = GRID_KEYS["lemma"]["tuples"]
     if "tuples" in grid:
         count = len(grid["tuples"])
-        tuples = ((t["A"], t["s"], t["M"], t["n"], t["gamma"], t["k"]) for t in grid["tuples"])
-    else:
-        count, tuples = trials, _lemma_tuples(trials, seed)
-    reports = (synth_mod.check_technical_lemma(*t) for t in tuples)
-    summary = _summary(([r.ok] if r.hypotheses_ok else [],
-                        lambda j: {"A": r.a, "s": r.s, "M": r.m, "n": r.n, "gamma": r.gamma, "k": r.k})
-                       for r in reports)
+        columns = {key: [t[key] for t in grid["tuples"]] for key in keys}
+        for key in ("M", "n", "k"):  # the int64 range of check_technical_lemma
+            if any(abs(v) >= 1 << 63 for v in columns[key]):
+                raise ParseError(f"lemma tuple key '{key}' takes integers below 2^63 in magnitude")
+        chunks = [[np.array(columns[key], dtype=np.float64 if t is float else np.int64)
+                   for key, t in keys.items()]]
+    else:  # every chunk is drawn whole, so --trials N checks a prefix of a longer run
+        count = trials
+        chunks = ([v[:trials - start] for v in _lemma_tuples(seed, c)]
+                  for c, start in enumerate(range(0, trials, LEMMA_CHUNK)))
+
+    def verdicts():  # the verdicts of one chunk's tuples that meet the hypotheses
+        for tup in chunks:
+            r = synth_mod.check_technical_lemma(*tup)
+            meets = np.flatnonzero(r.hypotheses_ok)
+            holds, r = r.ok[meets], None  # the next chunk's report is built without this one
+            yield holds, lambda j: dict(zip(keys, (v[meets[j]].item() for v in tup)))
+    summary = _summary(verdicts())
     summary["hypothesis_skips"] = count - summary["checked"]
     return summary
 
 
-def _lemma_tuples(count: int, seed: int):
-    """Random tuples satisfying the lemma hypotheses (s >= 1 included; the
+def _lemma_tuples(seed: int, chunk: int) -> list[np.ndarray]:
+    """One chunk of LEMMA_CHUNK random tuples (a, s, m, n, gamma, k) as six
+    arrays, each tuple satisfying the lemma hypotheses (s >= 1 included; the
     refined lower bound is not provable below that).
 
     No draw is rejected, because each one satisfies them: n >= 11 and
     gamma <= 0.1 give s_hi >= 5; m >= 2e^a gives center*(1 - gamma) >= 1.8,
     so the low range of k is not empty; and a >= 3 ln 11 gives
     center*(1 + gamma) <= m, so neither is the high one."""
-    rng = rng_for(seed, "lemma-tuples")
-    for i in range(count):
-        n = int(rng.integers(11, 201))
-        a = 3.0 * math.log(n) * (1.0 + rng.random())
-        gamma = math.exp(rng.uniform(math.log(1.0 / n), math.log(0.1)))
-        s_hi = min(n, 0.5 / gamma) if i % 2 == 0 else n  # half the draws hit s*gamma <= 1/2
-        s = rng.uniform(1.0, s_hi)
-        m = int(math.ceil(math.exp(a) * math.exp(rng.uniform(math.log(2.0), math.log(1e4)))))
-        center = m * math.exp(-a)
-        if rng.random() < 0.5:
-            k = int(rng.integers(0, math.floor(center * (1 - gamma)) + 1))
-        else:
-            k = int(rng.integers(math.ceil(center * (1 + gamma)), m + 1))
-        yield a, s, m, n, gamma, k
+    rng, size = rng_for(seed, "lemma-tuples", chunk), LEMMA_CHUNK
+    n = rng.integers(11, 201, size)
+    a = 3.0 * np.log(n) * (1.0 + rng.random(size))
+    gamma = np.exp(rng.uniform(np.log(1.0 / n), np.log(0.1)))
+    s_hi = np.where(np.arange(size) % 2 == 0, np.minimum(n, 0.5 / gamma), n)  # half hit s*gamma <= 1/2
+    s = rng.uniform(1.0, s_hi)
+    m = np.ceil(np.exp(a) * np.exp(rng.uniform(np.log(2.0), np.log(1e4), size))).astype(np.int64)
+    center = m * np.exp(-a)
+    k = np.where(rng.random(size) < 0.5, rng.integers(0, np.floor(center * (1 - gamma)).astype(np.int64) + 1),
+                 rng.integers(np.ceil(center * (1 + gamma)).astype(np.int64), m + 1))
+    return [a, s, m, n, gamma, k]
 
 
 if __name__ == "__main__":

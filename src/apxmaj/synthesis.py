@@ -421,103 +421,108 @@ def resample_until_valid(p: SynthPlan, witnesses: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# the sampling lemma's exact bound checks
+# the sampling lemma's exact bound checks, elementwise over arrays
 
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
-    applies: bool
-    holds: bool | None
-    log_lhs: float | None   # log of the exact probability
-    log_rhs: float | None   # log of the claimed bound
+    applies: np.ndarray   # bool
+    holds: np.ndarray     # bool, True where the check does not apply
+    log_lhs: np.ndarray   # log of the exact probability, also where the check
+    log_rhs: np.ndarray   # does not apply, and log of the claimed bound
 
 
 @dataclass(frozen=True)
 class TechnicalLemmaReport:
-    a: float
-    s: float
-    m: int
-    n: int
-    gamma: float
-    k: int
-    t: int
-    hypotheses: dict[str, bool]
-    log_p_or_zero: float      # log Pr[OR of t draws = 0] given ones-count k
-    log_p_and_one: float      # log Pr[AND of t draws = 1] given zeros-count M-k
-    or_band: str | None       # I0 / I1 membership of the ones-count
-    and_band: str | None      # J0 / J1 membership of the zeros-count
+    a: np.ndarray             # float64, as are s and gamma
+    s: np.ndarray
+    m: np.ndarray             # int64, as are n and k
+    n: np.ndarray
+    gamma: np.ndarray
+    k: np.ndarray
+    t: np.ndarray             # float64 holding the integer ceil(e^a * s)
+    hypotheses: dict[str, np.ndarray]
+    log_p_or_zero: np.ndarray  # log Pr[OR of t draws = 0] given ones-count k
+    log_p_and_one: np.ndarray  # log Pr[AND of t draws = 1] given zeros-count M-k
+    or_band: np.ndarray       # I0 / I1 membership of the ones-count, "" for none
+    and_band: np.ndarray      # J0 / J1 membership of the zeros-count, "" for none
     checks: tuple[BoundCheck, ...]
 
     @property
-    def hypotheses_ok(self) -> bool:
-        return all(self.hypotheses.values())
+    def hypotheses_ok(self) -> np.ndarray:
+        return np.logical_and.reduce(list(self.hypotheses.values()))
 
     @property
-    def ok(self) -> bool:
-        return all(c.holds for c in self.checks if c.applies)
+    def ok(self) -> np.ndarray:
+        return np.logical_and.reduce([c.holds for c in self.checks])
 
 
-def _log_complement(k: int, z: int, m: int) -> float:
-    """log(1 - k/m), with z = m - k: log1p(-k/m) when k/m is the smaller
+def _log_complement(k: np.ndarray, z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log(1 - k/m), with z = m - k: log1p(-k/m) where k/m is the smaller
     ratio, else log(z/m), so 1 - k/m never rounds to 0 when m > 2^53."""
-    if z == 0:
-        return -math.inf
-    return math.log1p(-k / m) if k <= z else math.log(z / m)
+    return np.where(k <= z, np.log1p(-k / m), np.log(z / m))
 
 
-def check_technical_lemma(a: float, s: float, m: int, n: int, gamma: float,
-                          k: int) -> TechnicalLemmaReport:
-    """Exact (1 - k/M)^t versus the claimed exp(-s)-scale bounds.
+def _band(count, m, a, gamma, low: str, high: str) -> np.ndarray:
+    """`low` where count <= M e^-a (1 - gamma), `high` where count >= M e^-a (1 + gamma), else ""."""
+    center = m * np.exp(-a)
+    return np.where(count <= center * (1 - gamma), low, np.where(count >= center * (1 + gamma), high, ""))
+
+
+def _bound(name: str, applies, log_lhs, log_rhs, lower: bool) -> BoundCheck:
+    holds = log_lhs >= log_rhs if lower else log_lhs <= log_rhs
+    return BoundCheck(name, applies, holds | ~applies, log_lhs, log_rhs)
+
+
+def check_technical_lemma(a, s, m, n, gamma, k) -> TechnicalLemmaReport:
+    """Exact (1 - k/M)^t versus the claimed exp(-s)-scale bounds, elementwise
+    over numbers or equal-shape arrays (a, s, gamma as float64; m, n, k as
+    int64, so M - k stays exact above 2^53); each report field has their shape.
 
     t = ceil(e^a * s).  The OR-event bounds apply when the ones-count k falls
     in I0/I1; the dual AND-event bounds use the zeros-count M-k against J1/J0.
     Refined (1 +- s*gamma*exp(-s*gamma)) bounds additionally need
     s*gamma <= EPS0; the refined lower bound also needs s >= 1 (the plain
-    bounds do not).  Hypothesis failures are reported, never raised.
+    bounds do not).  Hypothesis failures are reported, never raised; M < 1 or
+    k outside 0..M raises ValueError, and a t past the float range OverflowError.
     """
-    if m < 1:
+    a, s, gamma = (np.asarray(v, dtype=np.float64) for v in (a, s, gamma))
+    m, n, k = (np.asarray(v, dtype=np.int64) for v in (m, n, k))
+    if (m < 1).any():
         raise ValueError("M must be positive")
-    if not 0 <= k <= m:
+    if ((k < 0) | (k > m)).any():
         raise ValueError("ones-count k must be in 0..M")
-    hypotheses = {
-        "expA_ge_n_cubed": a >= 3.0 * math.log(n),
-        "n_ge_inv_eps0": n >= 1.0 / EPS0,
-        "s_le_n": s <= n,
-        "s_ge_1": s >= 1.0,
-        "gamma_in_range": 1.0 / n < gamma < 0.1,
-    }
-    t = math.ceil(math.exp(a) * s)
-    center = m * math.exp(-a)
-    z = m - k
-    log_p_or = t * _log_complement(k, z, m)
-    log_p_and = t * _log_complement(z, k, m)
+    with np.errstate(all="ignore"):  # log(0) = -inf is a probability of 0
+        t = np.ceil(np.exp(a) * s)
+        if not np.isfinite(t).all():
+            raise OverflowError("a result is not finite")
+        hypotheses = {
+            "expA_ge_n_cubed": a >= 3.0 * np.log(n),
+            "n_ge_inv_eps0": n >= 1.0 / EPS0,
+            "s_le_n": s <= n,
+            "s_ge_1": s >= 1.0,
+            "gamma_in_range": (1.0 / n < gamma) & (gamma < 0.1),
+        }
+        log_p_or = t * _log_complement(k, m - k, m)
+        log_p_and = t * _log_complement(m - k, k, m)
+        or_band = _band(k, m, a, gamma, "I0", "I1")
+        and_band = _band(m - k, m, a, gamma, "J1", "J0")
 
-    or_band = "I0" if k <= center * (1 - gamma) else ("I1" if k >= center * (1 + gamma) else None)
-    and_band = "J1" if z <= center * (1 - gamma) else ("J0" if z >= center * (1 + gamma) else None)
-
-    sg = s * gamma
-    refined_ok = sg <= EPS0
-    checks: list[BoundCheck] = []
-
-    def emit(name, applies, log_lhs, log_rhs, lower: bool):
-        holds = None
-        if applies:
-            holds = (log_lhs >= log_rhs) if lower else (log_lhs <= log_rhs)
-        checks.append(BoundCheck(name, applies, holds, log_lhs if applies else None,
-                                 log_rhs if applies else None))
-
-    emit("I0: p >= e^-s * e^(s*gamma/2)", or_band == "I0", log_p_or, -s + sg / 2, True)
-    emit("I0 refined: p >= e^-s * (1 + s*gamma*e^-s*gamma)", or_band == "I0" and refined_ok,
-         log_p_or, -s + math.log1p(sg * math.exp(-sg)), True)
-    emit("I1: p <= e^-s * e^(-s*gamma)", or_band == "I1", log_p_or, -s - sg, False)
-    emit("I1 refined: p <= e^-s * (1 - s*gamma*e^-s*gamma)", or_band == "I1" and refined_ok,
-         log_p_or, -s + math.log1p(-sg * math.exp(-sg)), False)
-    emit("J1: p >= e^-s * e^(s*gamma/2)", and_band == "J1", log_p_and, -s + sg / 2, True)
-    emit("J1 refined: p >= e^-s * (1 + s*gamma*e^-s*gamma)", and_band == "J1" and refined_ok,
-         log_p_and, -s + math.log1p(sg * math.exp(-sg)), True)
-    emit("J0: p <= e^-s * e^(-s*gamma)", and_band == "J0", log_p_and, -s - sg, False)
-    emit("J0 refined: p <= e^-s * (1 - s*gamma*e^-s*gamma)", and_band == "J0" and refined_ok,
-         log_p_and, -s + math.log1p(-sg * math.exp(-sg)), False)
+        sg = s * gamma
+        refined_ok = sg <= EPS0
+        lower, upper = -s + sg / 2, -s - sg
+        refined_lower, refined_upper = -s + np.log1p(sg * np.exp(-sg)), -s + np.log1p(-sg * np.exp(-sg))
+        checks = []
+        for band, log_p, low, high in ((or_band, log_p_or, "I0", "I1"), (and_band, log_p_and, "J1", "J0")):
+            in_low, in_high = band == low, band == high
+            checks += [
+                _bound(f"{low}: p >= e^-s * e^(s*gamma/2)", in_low, log_p, lower, True),
+                _bound(f"{low} refined: p >= e^-s * (1 + s*gamma*e^-s*gamma)", in_low & refined_ok,
+                       log_p, refined_lower, True),
+                _bound(f"{high}: p <= e^-s * e^(-s*gamma)", in_high, log_p, upper, False),
+                _bound(f"{high} refined: p <= e^-s * (1 - s*gamma*e^-s*gamma)", in_high & refined_ok,
+                       log_p, refined_upper, False),
+            ]
 
     return TechnicalLemmaReport(
         a=a, s=s, m=m, n=n, gamma=gamma, k=k, t=t,

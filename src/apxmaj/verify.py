@@ -90,10 +90,11 @@ class DegreeCertificate:
     scanned: tuple[int, ...]  # span size refuted or searched per level, not work done
 
 
-def degree_basis(n: int, degree: int) -> list[int]:
+@functools.cache  # the oracle asks for the same few (n, degree) pairs on every table
+def degree_basis(n: int, degree: int) -> tuple[int, ...]:
     """Monomial masks of degree <= `degree`, sorted by (degree, index tuple)."""
     monos = [m for m in range(1 << n) if m.bit_count() <= degree]
-    return sorted(monos, key=lambda m: (m.bit_count(), _indices(m)))
+    return tuple(sorted(monos, key=lambda m: (m.bit_count(), _indices(m))))
 
 
 @functools.cache
@@ -154,7 +155,7 @@ def min_approx_degree(f: TruthTable, eps: float) -> DegreeCertificate:
     raise AssertionError("degree n span contains every function")  # pragma: no cover
 
 
-def _scan_level(n: int, basis: list[int], f_bits: int,
+def _scan_level(n: int, basis: Sequence[int], f_bits: int,
                 allowed: int) -> tuple[int, int] | None:
     """(index, distance) of the first span candidate within `allowed` of f,
     or None.  Candidates are indexed by basis subsets (bit j = basis[j]
@@ -164,7 +165,7 @@ def _scan_level(n: int, basis: list[int], f_bits: int,
     return (int(hits[0]), int(dist[hits[0]])) if hits.size else None
 
 
-def _ball_level(n: int, basis: list[int], anf: SparsePolyF2,
+def _ball_level(n: int, basis: Sequence[int], anf: SparsePolyF2,
                 allowed: int) -> tuple[int, int] | None:
     """What `_scan_level` returns, found by syndrome decoding: f ^ e has
     degree <= D for an error pattern e of weight <= `allowed` exactly when

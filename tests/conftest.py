@@ -6,10 +6,14 @@ against the library's bit-parallel paths; keep them boring.
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from apxmaj import compiler as C
+from apxmaj import synthesis as S
 from apxmaj.circuits import KINDS, CircuitDag, FormulaNode, Gate, GateKind
 from apxmaj.errors import DimensionError
 from apxmaj.rng import rng_for
@@ -106,6 +110,73 @@ def oracle_mobius_transform(rows: np.ndarray) -> np.ndarray:
         v = a.reshape(-1, size >> (i + 1), 2, 1 << i)
         v[:, :, 1, :] ^= v[:, :, 0, :]
     return a
+
+
+def _log_complement(k: int, z: int, m: int) -> float:
+    """log(1 - k/m), with z = m - k: log1p(-k/m) when k/m is the smaller
+    ratio, else log(z/m), so 1 - k/m never rounds to 0 when m > 2^53."""
+    if z == 0:
+        return -math.inf
+    return math.log1p(-k / m) if k <= z else math.log(z / m)
+
+
+def oracle_technical_lemma(a: float, s: float, m: int, n: int, gamma: float,
+                           k: int) -> SimpleNamespace:
+    """The sampling lemma's checks on one tuple in Python floats and ints: the
+    exact reference for `synthesis.check_technical_lemma`.  Bands read None
+    outside I0/I1 (J1/J0), and a check that does not apply holds None with
+    None logs."""
+    if m < 1:
+        raise ValueError("M must be positive")
+    if not 0 <= k <= m:
+        raise ValueError("ones-count k must be in 0..M")
+    hypotheses = {
+        "expA_ge_n_cubed": a >= 3.0 * math.log(n),
+        "n_ge_inv_eps0": n >= 1.0 / S.EPS0,
+        "s_le_n": s <= n,
+        "s_ge_1": s >= 1.0,
+        "gamma_in_range": 1.0 / n < gamma < 0.1,
+    }
+    t = math.ceil(math.exp(a) * s)
+    center = m * math.exp(-a)
+    z = m - k
+    log_p_or = t * _log_complement(k, z, m)
+    log_p_and = t * _log_complement(z, k, m)
+
+    or_band = "I0" if k <= center * (1 - gamma) else ("I1" if k >= center * (1 + gamma) else None)
+    and_band = "J1" if z <= center * (1 - gamma) else ("J0" if z >= center * (1 + gamma) else None)
+
+    sg = s * gamma
+    refined_ok = sg <= S.EPS0
+    checks = []
+
+    def emit(name, applies, log_lhs, log_rhs, lower: bool):
+        holds = None
+        if applies:
+            holds = (log_lhs >= log_rhs) if lower else (log_lhs <= log_rhs)
+        checks.append(SimpleNamespace(name=name, applies=applies, holds=holds,
+                                      log_lhs=log_lhs if applies else None,
+                                      log_rhs=log_rhs if applies else None))
+
+    emit("I0: p >= e^-s * e^(s*gamma/2)", or_band == "I0", log_p_or, -s + sg / 2, True)
+    emit("I0 refined: p >= e^-s * (1 + s*gamma*e^-s*gamma)", or_band == "I0" and refined_ok,
+         log_p_or, -s + math.log1p(sg * math.exp(-sg)), True)
+    emit("I1: p <= e^-s * e^(-s*gamma)", or_band == "I1", log_p_or, -s - sg, False)
+    emit("I1 refined: p <= e^-s * (1 - s*gamma*e^-s*gamma)", or_band == "I1" and refined_ok,
+         log_p_or, -s + math.log1p(-sg * math.exp(-sg)), False)
+    emit("J1: p >= e^-s * e^(s*gamma/2)", and_band == "J1", log_p_and, -s + sg / 2, True)
+    emit("J1 refined: p >= e^-s * (1 + s*gamma*e^-s*gamma)", and_band == "J1" and refined_ok,
+         log_p_and, -s + math.log1p(sg * math.exp(-sg)), True)
+    emit("J0: p <= e^-s * e^(-s*gamma)", and_band == "J0", log_p_and, -s - sg, False)
+    emit("J0 refined: p <= e^-s * (1 - s*gamma*e^-s*gamma)", and_band == "J0" and refined_ok,
+         log_p_and, -s + math.log1p(-sg * math.exp(-sg)), False)
+
+    return SimpleNamespace(
+        t=t, hypotheses=hypotheses, hypotheses_ok=all(hypotheses.values()),
+        log_p_or_zero=log_p_or, log_p_and_one=log_p_and,
+        or_band=or_band, and_band=and_band,
+        checks=checks, ok=all(c.holds for c in checks if c.applies),
+    )
 
 
 def lane_bits(tables: np.ndarray, lanes: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from apxmaj import compiler
 from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind
 from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE,
-                        EXIT_USAGE, _build_parser, main)
+                        EXIT_USAGE, LEMMA_CHUNK, _build_parser, main)
 
 from conftest import alternating_formula, formula_text, lane_bits, oracle_table_formula, random_formula
 
@@ -398,9 +398,29 @@ def test_check_lemma_hypothesis_skip(workdir, capsys):
 
 
 def test_check_lemma_huge_m_tuple_is_checked(workdir, capsys):
-    # this seed draws M = 32751464541038204 > 2^53 with k = 1
-    assert run(["check", "lemma", "--seed", "825368914", "--out", "k"]) == EXIT_OK
-    assert "violations=0" in capsys.readouterr().out
+    # M = 32751464541038204 > 2^53 with k = 1 and k = M - 1 passes int64 exact
+    a, s, m, n, gamma = 31.621891952577354, 17.663265324289764, 32751464541038204, 196, 0.009735847953084733
+    grid = {"tuples": [{"A": a, "s": s, "M": m, "n": n, "gamma": gamma, "k": k} for k in (1, m - 1)]}
+    (workdir / "g.json").write_text(json.dumps(grid))
+    assert run(["check", "lemma", "--grid", "g.json", "--out", "k"]) == EXIT_OK
+    assert capsys.readouterr().out == "lemma: checked=2 violations=0 hypothesis_skips=0\n"
+
+
+def test_check_lemma_trials_are_a_prefix(workdir, monkeypatch):
+    # chunks are drawn whole, so a shorter run checks the first tuples of a longer one
+    seen = {}
+    check = S.check_technical_lemma
+
+    def recording(*tup):
+        seen.setdefault(trials, []).append(tup)
+        assert len(tup[0]) <= LEMMA_CHUNK
+        return check(*tup)
+    monkeypatch.setattr(S, "check_technical_lemma", recording)
+    for trials in (1000, 5000):
+        assert run(["check", "lemma", "--seed", "3", "--trials", str(trials), "--out", "k"]) == EXIT_OK
+    short, long = ([np.concatenate(c) for c in zip(*seen[t])] for t in (1000, 5000))
+    assert [len(c) for c in short + long] == [1000] * 6 + [5000] * 6
+    assert all(np.array_equal(c, d[:1000]) for c, d in zip(short, long))
 
 
 def test_check_tails_reports_small_n_violations(workdir):
@@ -438,12 +458,21 @@ def test_check_gamma_reports_a2_violations(workdir):
     ("gamma", {"A": [10**300]},
      "gamma grid values overflow a float (int too large to convert to float)"),
     ("lemma", {"tuples": [{"A": 1e300, "s": 2.0, "M": 100, "n": 50, "gamma": 0.05, "k": 3}]},
-     "lemma grid values overflow a float (math range error)"),
+     "lemma grid values overflow a float (a result is not finite)"),
+    ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 2**63, "n": 50, "gamma": 0.05, "k": 3}]},
+     "lemma tuple key 'M' takes integers below 2^63 in magnitude"),
+    ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 10, "n": 50, "gamma": 0.05, "k": -2**63}]},
+     "lemma tuple key 'k' takes integers below 2^63 in magnitude"),
+    ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 0, "n": 50, "gamma": 0.05, "k": 0}]},
+     "M must be positive"),
+    ("lemma", {"tuples": [{"A": 21.0, "s": 2.0, "M": 10, "n": 50, "gamma": 0.05, "k": 11}]},
+     "ones-count k must be in 0..M"),
     ("inequality", {"a": [1e300], "b": [1e300], "d": [2]},  # the gap is inf - inf
      "inequality grid values overflow a float (a result is not finite)"),
 ], ids=["array", "lemma-missing-keys", "gamma-scalar", "lemma-scalar", "tails-fraction",
         "gamma-wrong-key", "inequality-bool", "inequality-text", "gamma-i_max-fraction",
         "lemma-fraction", "tails-beyond-float", "gamma-overflow", "lemma-overflow",
+        "lemma-M-beyond-int64", "lemma-k-beyond-int64", "lemma-M-zero", "lemma-k-above-M",
         "inequality-overflow"])
 def test_bad_grid_exits_2_with_one_line(workdir, capsys, kind, grid, message):
     (workdir / "g.json").write_text(json.dumps(grid))

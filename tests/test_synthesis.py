@@ -10,7 +10,7 @@ from apxmaj.circuits import GateKind, serialize_netlist
 from apxmaj.errors import ResourceLimitError
 from apxmaj.rng import derive_seed, rng_for
 
-from conftest import oracle_eval_dag, reference_synth
+from conftest import oracle_eval_dag, oracle_technical_lemma, reference_synth
 
 
 DESK = dict(n=101, d=3, eps=0.25, overrides={"A": 3, "M": 2**10, "M_top": 2**10})
@@ -323,6 +323,9 @@ def test_technical_lemma_exact_value():
     assert rep.t == 50
     assert math.exp(rep.log_p_or_zero) == pytest.approx(0.99**50, rel=1e-12)
     assert math.exp(rep.log_p_or_zero) == pytest.approx(0.605006, abs=1e-6)
+    # a scalar call gives 0-d results
+    assert {np.shape(v) for v in (rep.m, rep.t, rep.log_p_or_zero, rep.or_band, rep.ok,
+                                  rep.hypotheses_ok, rep.checks[0].holds, rep.checks[0].log_lhs)} == {()}
 
 
 def test_technical_lemma_k_zero():
@@ -332,11 +335,13 @@ def test_technical_lemma_k_zero():
     assert rep.ok
 
 
+# M > 2^53, with k = 1 and k = M - 1 (apart from k, one lemma tuple)
+HUGE_M_TUPLE = (31.621891952577354, 17.663265324289764, 32751464541038204, 196, 0.009735847953084733)
+
+
 def test_technical_lemma_huge_m_one_off_the_ends():
-    # M > 2^53: 1 - k/M for k = 1 (and the zeros-count for k = M - 1) must
-    # not round to log(0); this tuple is drawn by `check lemma --seed 825368914`
-    a, s, m, n, gamma = (31.621891952577354, 17.663265324289764, 32751464541038204,
-                         196, 0.009735847953084733)
+    # 1 - k/M for k = 1 (and the zeros-count for k = M - 1) must not round to log(0)
+    a, s, m, n, gamma = HUGE_M_TUPLE
     t = math.ceil(math.exp(a) * s)
     one, twin = (S.check_technical_lemma(a, s, m, n, gamma, k) for k in (1, m - 1))
     assert one.hypotheses_ok and one.ok and twin.hypotheses_ok and twin.ok
@@ -349,19 +354,60 @@ def test_technical_lemma_huge_m_one_off_the_ends():
 def test_technical_lemma_hypothesis_reporting():
     rep = S.check_technical_lemma(1.0, 5.0, 100, 100, 0.5, 3)
     assert not rep.hypotheses_ok
-    assert rep.hypotheses["expA_ge_n_cubed"] is False
-    assert rep.hypotheses["gamma_in_range"] is False
+    assert not rep.hypotheses["expA_ge_n_cubed"]
+    assert not rep.hypotheses["gamma_in_range"]
 
 
 def test_technical_lemma_random_sweep():
     from apxmaj.cli import _lemma_tuples
-    bad = []
-    for tup in _lemma_tuples(500, seed=17):
-        rep = S.check_technical_lemma(*tup)
-        assert rep.hypotheses_ok
-        if not rep.ok:
-            bad.append(tup)
-    assert bad == []
+    tup = [v[:500] for v in _lemma_tuples(17, 0)]
+    rep = S.check_technical_lemma(*tup)
+    assert rep.hypotheses_ok.all()
+    assert [[v[j].item() for v in tup] for j in np.flatnonzero(~rep.ok)] == []
+
+
+# a, s, M, n, gamma, k: both ends of k, M > 2^53 one off both ends, each
+# hypothesis failing, s and gamma on the ends of their ranges, and every OR
+# band (I0, none, I1) against every AND band (J0, none, J1), with s*gamma on
+# both sides of EPS0
+LEMMA_EDGES = [
+    (7.0, 2.0, 10_000, 11, 0.05, 0), (7.0, 2.0, 10_000, 11, 0.05, 10_000),
+    (*HUGE_M_TUPLE, 1), (*HUGE_M_TUPLE, HUGE_M_TUPLE[2] - 1),
+    (1.0, 5.0, 100, 100, 0.5, 3), (12.0, 0.5, 10**8, 50, 0.05, 500),
+    (12.0, 60.0, 10**8, 50, 0.05, 500), (12.0, 2.0, 10**8, 1, 0.05, 500),
+    (12.0, 1.0, 10**8, 50, 0.02, 500), (12.0, 50.0, 10**8, 50, 0.1, 500),
+    *((12.0, s, 10**8, 50, 0.05, k) for s in (2.0, 20.0)
+      for k in (0, 500, 614, 700, 10**8 - 700, 10**8 - 614, 10**8 - 500, 10**8)),
+]
+
+
+def test_technical_lemma_matches_scalar_oracle():
+    from apxmaj.cli import _lemma_tuples
+    drawn = [list(zip(*(v.tolist() for v in _lemma_tuples(seed, 0)))) for seed in (5, 17, 404)]
+    tuples = [t for chunk in drawn for t in chunk] + LEMMA_EDGES
+    assert len(tuples) == 3 * 4096 + len(LEMMA_EDGES)
+    rep = S.check_technical_lemma(*(np.array(c) for c in zip(*tuples)))
+    wants = [oracle_technical_lemma(*t) for t in tuples]
+    for name, got in rep.hypotheses.items():
+        assert got.tolist() == [w.hypotheses[name] for w in wants], name
+    assert rep.hypotheses_ok.tolist() == [w.hypotheses_ok for w in wants]
+    assert rep.ok.tolist() == [w.ok for w in wants]
+    bands = [(w.or_band or "", w.and_band or "") for w in wants]
+    assert list(zip(rep.or_band.tolist(), rep.and_band.tolist())) == bands
+    assert {b for pair in bands[-16:] for b in pair} == {"I0", "I1", "J0", "J1", ""}
+    for field in ("t", "log_p_or_zero", "log_p_and_one"):  # np.exp may differ by an ulp
+        np.testing.assert_allclose(getattr(rep, field), [getattr(w, field) for w in wants],
+                                   rtol=1e-12, atol=0, err_msg=field)
+    for i, check in enumerate(rep.checks):
+        want = [w.checks[i] for w in wants]
+        assert check.name == want[0].name
+        assert check.applies.tolist() == [c.applies for c in want], check.name
+        assert check.holds.tolist() == [c.holds is not False for c in want], check.name
+        applies = check.applies
+        for side in ("log_lhs", "log_rhs"):
+            np.testing.assert_allclose(getattr(check, side)[applies],
+                                       [getattr(c, side) for c in want if c.applies],
+                                       rtol=1e-12, atol=0, err_msg=f"{check.name} {side}")
 
 
 # --------------------------------------------------------------------- tails
