@@ -16,7 +16,8 @@ Evaluation has one word evaluator, :class:`PackedEvaluator`, which batches
 gates level by level into numpy index matrices and evaluates 64 assignments
 per uint64 word.  `pack_lanes` packs assignments into its input words;
 `enumeration_words` yields those of every assignment, for `exhaustive_table`
-and exact certification.
+and exact certification.  Both build the words with `gf2poly`'s converters,
+which own the bit layout.
 
 `CircuitDag.cone` drops the gates that reach no output (dead-gate
 elimination, the "sweep" of logic synthesis).  Certification and exact
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, ParseError, ResourceLimitError
-from .gf2poly import valid_words, variable_words
+from .gf2poly import assignment_bits, bits_int, int_bits, lane_bits, lane_words
 
 WORD_BITS = 64
 # words per PackedEvaluator call in chunked evaluation (16,384 lanes)
@@ -419,39 +420,27 @@ def _tokenize_sexpr(text: str) -> list[tuple[str, int, int]]:
 def pack_lanes(n: int, masks: Sequence[int]) -> np.ndarray:
     """(n, ceil(len(masks)/64)) uint64 input words, one assignment per lane:
     bit j of row i is bit i of masks[j]; lanes past the last mask are 0."""
-    n_words = (len(masks) + WORD_BITS - 1) // WORD_BITS
-    n_bytes = (n + 7) // 8
-    for j, m in enumerate(masks):
-        if m < 0 or m >> n:
-            raise DimensionError(f"lane {j}: mask {m:#x} does not fit {n} variables")
-    raw = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), n_bytes), axis=1, count=n, bitorder="little")
-    out = np.zeros((n, 8 * n_words), dtype=np.uint8)
-    out[:, : (len(masks) + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
-    return out.view("<u8").astype(np.uint64)
+    return lane_words(int_bits(masks, n).T)
 
 
-def exhaustive_table(c: CircuitDag, output: int = 0) -> int:
-    """Truth table of one output as an integer (bit j = value at assignment j,
-    where bit i of j is the value of x_i).  Runs :class:`PackedEvaluator` on
-    `enumeration_words`."""
+def exhaustive_table(c: CircuitDag) -> int:
+    """Truth table of the first output as an integer (bit j = value at
+    assignment j, where bit i of j is the value of x_i).  Runs
+    :class:`PackedEvaluator` on `enumeration_words`."""
     n = c.n_inputs
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(f"exhaustive evaluation capped at n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    if not 0 <= output < len(c.outputs):
-        raise IndexError(f"circuit has {len(c.outputs)} outputs")
-    row = c.outputs[output]
-    evaluator = PackedEvaluator(c)
+    evaluator, row = PackedEvaluator(c), c.outputs[0]
     table = np.concatenate([evaluator.run(words)[row] for words in enumeration_words(n)])
-    return int.from_bytes((table & valid_words(n)).astype("<u8").tobytes(), "little")
+    return bits_int(lane_bits(table, 1 << n))
 
 
 def enumeration_words(n: int):
     """Input words of all 2^n assignments (lane j holds assignment j),
     CHUNK_WORDS words at a time; below 64 assignments the tail lanes are 0."""
-    inputs = variable_words(n)
-    for s in range(0, inputs.shape[1], CHUNK_WORDS):
-        yield inputs[:, s : s + CHUNK_WORDS]
+    lanes = CHUNK_WORDS * WORD_BITS
+    for start in range(0, 1 << n, lanes):
+        yield lane_words(assignment_bits(n, start, min(start + lanes, 1 << n)))
 
 
 def formula_to_dag(f: FormulaNode, n_vars: int | None = None) -> CircuitDag:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .circuits import FormulaNode, GateKind
 from .errors import ResourceLimitError
-from .gf2poly import SparsePolyF2, _as_mask, majority_words, mobius_transform
+from .gf2poly import SparsePolyF2, assignment_bits, int_bits, lane_bits, majority_words, mobius_transform
 from .rng import rng_for
 
 # Error reduction uses majority over t = smallest odd integer >= 4*ln(1/eps)+1
@@ -417,9 +417,8 @@ def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
 def eval_sample(recipe: CompiledRecipe, x: int, seed: int) -> int:
     """Value of sample(recipe, seed) at x, without materializing the polynomial:
     lane 0 of a single row, whose variable columns are all ones or all zeros."""
-    mask = _as_mask(recipe.n, x)
+    columns = _ONES * int_bits([x], recipe.n).T  # DimensionError for an x beyond n bits
     check_sample_work(recipe, 1, 1)
-    columns = -np.array([mask >> i & 1 for i in range(recipe.n)], dtype=np.uint64)[:, None]
     return int(_eval_node(recipe.root, _Lanes(columns, 1, 0), seed, ())[0, 0] & np.uint64(1))
 
 
@@ -436,7 +435,7 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
     if n > SAMPLE_TABLE_MAX_N:
         raise ResourceLimitError(f"sampling capped at n <= {SAMPLE_TABLE_MAX_N}, got {n}")
     check_sample_work(recipe, 1 << n, -(-n_samples // 64))
-    columns = -(np.arange(1 << n, dtype=np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & 1)
+    columns = _ONES * assignment_bits(n, 0, 1 << n)
     out = np.empty((1 << n, -(-n_samples // 64)), dtype=np.uint64)
     for c, w in enumerate(range(0, out.shape[1], LANE_CHUNK // 64), chunk):
         part = out[:, w:w + LANE_CHUNK // 64]
@@ -451,7 +450,7 @@ def table_degrees(tables: np.ndarray, n: int) -> np.ndarray:
     coeffs = mobius_transform(tables, n)
     weights = np.bitwise_count(np.arange(1 << n))
     by_weight = np.stack([np.bitwise_or.reduce(coeffs[weights == d]) for d in range(n + 1)])
-    lanes = np.unpackbits(by_weight.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    lanes = lane_bits(by_weight, 64 * tables.shape[1])
     return (lanes * np.arange(n + 1, dtype=np.uint8)[:, None]).max(axis=0)
 
 

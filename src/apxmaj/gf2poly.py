@@ -9,6 +9,12 @@ convention.
 A truth table given as an int has bit j = f at assignment j (bit i of j =
 x_i); :func:`table_rows` turns it into rows, one per assignment, the one
 layout of :func:`mobius_transform`, which maps tables to ANF coefficients.
+
+This module owns the bit layouts: no other module converts between Python
+ints, 0/1 uint8 arrays and uint64 lane words.  Bit i of an int is entry i of
+its bits (:func:`int_bits`, :func:`bits_int`), lane l of a row of words is bit
+l % 64 of word l // 64 (:func:`lane_words`, :func:`lane_bits`), and assignment
+j sets x_i to bit i of j (:func:`assignment_bits`).
 """
 
 from __future__ import annotations
@@ -49,28 +55,44 @@ def _as_mask(n: int, x: int) -> int:
     return x
 
 
-# Packed truth tables: bit b of word w is the value at assignment 64*w + b.
-# Bit b of _LOW_VARS[i] is bit i of b, the table of x_i within one word.
-_LOW_VARS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6))
+# ---------------------------------------------------------------------------
+# bit layouts
+
+def int_bits(values: Sequence[int], width: int) -> np.ndarray:
+    """(len(values), width) uint8: row r holds bits 0..width-1 of values[r].
+    DimensionError for a value outside 0 .. 2^width - 1."""
+    n_bytes = (width + 7) >> 3
+    raw = b"".join(_as_mask(width, v).to_bytes(n_bytes, "little") for v in values)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(values), n_bytes), axis=1, count=width,
+                         bitorder="little")
 
 
-def table_words(n: int) -> int:
-    """uint64 words in a packed 2^n-entry truth table."""
-    return max(1, (1 << n) >> 6)
+def bits_int(bits: np.ndarray) -> int:
+    """The int whose bit i is bits[i], of a 1-d 0/1 array."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def valid_words(n: int) -> np.ndarray:
-    """(W,) mask of the 2^n table entries (below 64 entries, the low bits)."""
-    return np.full(table_words(n), ~np.uint64(0) >> np.uint64(64 - min(64, 1 << n)))
+def lane_words(bits: np.ndarray) -> np.ndarray:
+    """(..., ceil(L/64)) uint64 of a (..., L) 0/1 array: lane l of a row is
+    bits[..., l]; lanes past L are 0."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros((*bits.shape[:-1], -(-bits.shape[-1] // 64) * 8), np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8").astype(np.uint64)
 
 
-def variable_words(n: int) -> np.ndarray:
-    """(n, W) packed truth tables of x_0 .. x_{n-1}."""
-    out = np.empty((n, table_words(n)), dtype=np.uint64)
-    word_index = np.arange(out.shape[1], dtype=np.uint64)
-    for i in range(n):
-        out[i] = _LOW_VARS[i] if i < 6 else -(word_index >> np.uint64(i - 6) & np.uint64(1))
-    return out & valid_words(n)
+def lane_bits(words: np.ndarray, lanes: int) -> np.ndarray:
+    """(..., lanes) uint8: the first `lanes` lanes of (..., W) uint64 words."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=lanes, bitorder="little")
+
+
+def assignment_bits(n: int, start: int, stop: int) -> np.ndarray:
+    """(n, stop - start) uint8: entry [i, j] is x_i at assignment start + j."""
+    index, out = np.arange(start, stop, dtype=np.int64), np.empty((n, stop - start), np.uint8)
+    for i in range(n):  # a row at a time: no (n, stop - start) int64 temporary
+        out[i] = index >> i & 1
+    return out
 
 
 def majority_words(rows: Sequence[np.ndarray], full) -> np.ndarray:
@@ -106,8 +128,7 @@ def table_rows(bits: int, n: int) -> np.ndarray:
     """(2^n,) uint8 0/1 truth table of the int whose bit j is f at assignment j."""
     if n > TRUTH_TABLE_MAX_N:
         raise ResourceLimitError(f"truth tables capped at n <= {TRUTH_TABLE_MAX_N}, got {n}")
-    raw = _as_mask(1 << n, bits).to_bytes(((1 << n) + 7) >> 3, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=1 << n, bitorder="little")
+    return int_bits([bits], 1 << n)[0]
 
 
 def from_truth_table(bits: int, n: int) -> SparsePolyF2:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .circuits import KINDS, CircuitDag, GateKind, PackedEvaluator, pack_lanes
 from .errors import ApxMajError, ResourceLimitError
-from .gf2poly import _as_mask
+from .gf2poly import _as_mask, lane_bits
 from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
@@ -262,9 +262,8 @@ class SynthResult:
     def level_ones(self, masks: Sequence[int]) -> np.ndarray:
         """(levels, lanes) int64: how many gates of each level are 1 when lane
         j evaluates the assignment whose bit i is bit i of masks[j]."""
-        counts = [np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").sum(axis=0)
-                  for rows in self.level_values(pack_lanes(self.plan.n, masks))]
-        return np.array([c[: len(masks)] for c in counts], dtype=np.int64)
+        return np.array([lane_bits(rows, len(masks)).sum(axis=0)
+                         for rows in self.level_values(pack_lanes(self.plan.n, masks))], dtype=np.int64)
 
 
 def synth(p: SynthPlan, seed: int) -> SynthResult:
@@ -300,9 +299,8 @@ class LevelPrediction:
     fan_in: float
     ones_fraction: float
     sigma: float          # std of the observed fraction, upstream noise included
-    band_lo: float | None  # target band on the informative-statistic fraction
-    band_hi: float | None
-    band_stat: str        # "ones" (AND level) or "zeros" (OR level)
+    band_lo: float | None  # e^-A (1 -/+ gamma_i): the fraction bands of the ones of an
+    band_hi: float | None  # AND level and the zeros of an OR level (`_band`'s I0/I1, J1/J0)
 
 
 def bias_recurrence(p: SynthPlan, w: int) -> list[LevelPrediction]:
@@ -337,7 +335,6 @@ def bias_recurrence(p: SynthPlan, w: int) -> list[LevelPrediction]:
             index=spec.index, kind=spec.kind, width=width, fan_in=t,
             ones_fraction=q_next, sigma=math.sqrt(var),
             band_lo=lo, band_hi=hi,
-            band_stat="ones" if spec.kind is GateKind.AND else "zeros",
         ))
         q = q_next
     return out
@@ -355,14 +352,12 @@ class LevelObservation:
     within_3_sigma: bool
     band_lo: float | None
     band_hi: float | None
-    band_membership: str | None  # I0/I1 (AND levels), J0/J1 (OR levels), None
 
 
 def level_checks(result: SynthResult, xs: Sequence[int]) -> list[list[LevelObservation]]:
     """Evaluate every assignment of xs in one pass and report, per assignment,
-    the per-level ones-fractions against the mean-field prediction, plus
-    membership in the one-sided count sets around M*e^-A: I0/I1 bound the ones
-    of an AND level from below/above, J1/J0 the zeros of an OR level."""
+    the per-level ones-fractions against the mean-field prediction and the
+    level's band bounds."""
     ones = result.level_ones(xs)  # pack_lanes range-checks every point
     return [_observations(result.plan, x.bit_count(), ones[:, j]) for j, x in enumerate(xs)]
 
@@ -376,20 +371,11 @@ def _observations(p: SynthPlan, w: int, counts: np.ndarray) -> list[LevelObserva
     out = []
     for spec, pred, ones in zip(p.levels, bias_recurrence(p, w), counts.tolist()):
         frac = ones / spec.width
-        membership = None
-        if pred.band_lo is not None:
-            stat = ones if pred.band_stat == "ones" else spec.width - ones
-            low_set, high_set = ("I0", "I1") if pred.band_stat == "ones" else ("J1", "J0")
-            if stat <= pred.band_lo * spec.width:
-                membership = low_set
-            elif stat >= pred.band_hi * spec.width:
-                membership = high_set
         out.append(LevelObservation(
             index=spec.index, kind=spec.kind, width=spec.width, ones=ones,
             ones_fraction=frac, predicted=pred.ones_fraction, sigma=pred.sigma,
             within_3_sigma=abs(frac - pred.ones_fraction) <= 3.0 * pred.sigma,
             band_lo=pred.band_lo, band_hi=pred.band_hi,
-            band_membership=membership,
         ))
     return out
 

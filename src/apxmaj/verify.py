@@ -26,8 +26,8 @@ import numpy as np
 from .circuits import (CHUNK_WORDS, EXHAUSTIVE_MAX_N, CircuitDag, PackedEvaluator, enumeration_words,
                        exhaustive_table, random_input_words)
 from .errors import DimensionError, ParseError, ResourceLimitError
-from .gf2poly import (TRUTH_TABLE_MAX_N, SparsePolyF2, _indices, from_truth_table, majority_words,
-                      valid_words, variable_words)
+from .gf2poly import (TRUTH_TABLE_MAX_N, SparsePolyF2, _indices, bits_int, from_truth_table, lane_words,
+                      majority_words)
 from .rng import rng_for
 
 DEGREE_ORACLE_MAX_N = 5
@@ -71,8 +71,7 @@ class TruthTable:
 def majority_truth_table(n: int) -> TruthTable:
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(f"majority table capped at n <= {EXHAUSTIVE_MAX_N}")
-    words = majority_words(variable_words(n), valid_words(n))
-    return TruthTable(n, int.from_bytes(words.astype("<u8").tobytes(), "little"))
+    return TruthTable(n, bits_int(2 * np.bitwise_count(np.arange(1 << n)) > n))  # more ones than zeros
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +100,8 @@ def degree_basis(n: int, degree: int) -> tuple[int, ...]:
 def _monomial_tables(n: int) -> np.ndarray:
     """(2^n,) uint32, n <= 5: entry m is the truth table of monomial m (bit j
     set iff j contains m), which is also the ANF of the unit vector at m."""
-    j = np.arange(1 << n, dtype=np.uint32)
-    contains = (j & j[:, None]) == j[:, None]  # [m, j]
-    tables = np.bitwise_or.reduce(contains.astype(np.uint32) << j, axis=1)
+    j = np.arange(1 << n)
+    tables = lane_words((j & j[:, None]) == j[:, None])[:, 0].astype(np.uint32)  # lane j of row m
     tables.flags.writeable = False
     return tables
 

@@ -74,9 +74,10 @@ def oracle_table_formula(f: FormulaNode, n: int) -> int:
     return sum(oracle_eval_formula(f, [(j >> i) & 1 for i in range(n)]) << j for j in range(1 << n))
 
 
-def oracle_table_dag(c: CircuitDag, output: int = 0) -> int:
+def oracle_table_dag(c: CircuitDag) -> int:
+    """Truth table of the first output."""
     n = c.n_inputs
-    return sum(oracle_eval_dag(c, [(j >> i) & 1 for i in range(n)])[output] << j for j in range(1 << n))
+    return sum(oracle_eval_dag(c, [(j >> i) & 1 for i in range(n)])[0] << j for j in range(1 << n))
 
 
 def brute_table(p) -> list[int]:
@@ -179,11 +180,36 @@ def oracle_technical_lemma(a: float, s: float, m: int, n: int, gamma: float,
     )
 
 
-def lane_bits(tables: np.ndarray, lanes: int) -> np.ndarray:
-    """(lanes, 2^n) 0/1 uint8 of bitsliced tables (the layout of
-    `compiler.sample_tables`): row l is sample l's truth table."""
-    raw = np.ascontiguousarray(tables, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=lanes, bitorder="little").T
+# Scalar definitions of gf2poly's bit layouts, one bit at a time: bit i of an
+# int is entry i of its bits, lane l of a row of words is bit l % 64 of word
+# l // 64, and assignment j sets x_i to bit i of j.
+
+def oracle_int_bits(values, width: int) -> list[list[int]]:
+    return [[v >> i & 1 for i in range(width)] for v in values]
+
+
+def oracle_bits_int(bits) -> int:
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+def oracle_lane_words(rows) -> list[list[int]]:
+    """The words of each row of lane bits; lanes past the row's end are 0."""
+    out = []
+    for row in rows:
+        words = [0] * -(-len(row) // 64)
+        for lane, b in enumerate(row):
+            words[lane // 64] |= int(b) << (lane % 64)
+        out.append(words)
+    return out
+
+
+def oracle_lane_bits(words, lanes: int) -> list[list[int]]:
+    return [[int(row[lane // 64]) >> (lane % 64) & 1 for lane in range(lanes)] for row in words]
+
+
+def oracle_assignment_bits(n: int) -> list[list[int]]:
+    """Row i: x_i at every assignment j = 0 .. 2^n - 1."""
+    return [[j >> i & 1 for j in range(1 << n)] for i in range(n)]
 
 
 def oracle_sample_value(recipe, x: int, seed: int, lane: int, draws: dict) -> int:

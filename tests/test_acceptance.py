@@ -39,7 +39,7 @@ from apxmaj.circuits import GateKind, PackedEvaluator, formula_to_dag, parse_for
 from apxmaj.cli import _lemma_tuples
 from apxmaj.rng import rng_for
 
-from conftest import (brute_table, lane_bits, oracle_mobius_transform, oracle_table_formula, random_dag,
+from conftest import (brute_table, oracle_mobius_transform, oracle_table_formula, random_dag,
                       random_formula)
 
 # Pinned seeds: the Monte Carlo criteria are deterministic given these.
@@ -157,7 +157,7 @@ def test_c2_compiler_end_to_end():
             failures.append(f"formula {fi}: sampled degree {int(degs.max())} "
                             f"> bound {recipe.degree_bound}")
         nbits = 1 << recipe.n
-        bits = lane_bits(tables, 2000)
+        bits = g.lane_bits(tables, 2000).T
         truth = oracle_table_formula(f, recipe.n)
         tb = np.array([(truth >> j) & 1 for j in range(nbits)], dtype=np.uint8)
         errs = (bits != tb[None, :]).mean(axis=0)

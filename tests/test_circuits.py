@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apxmaj.circuits import (
+    CHUNK_WORDS,
     KINDS,
     CircuitDag,
     FormulaNode,
     Gate,
     GateKind,
     PackedEvaluator,
+    enumeration_words,
     exhaustive_table,
     formula_to_dag,
     pack_lanes,
@@ -20,10 +22,11 @@ from apxmaj.circuits import (
     serialize_netlist,
 )
 from apxmaj.errors import DimensionError, ParseError
+from apxmaj.gf2poly import assignment_bits
 from apxmaj.verify import majority_truth_table
 
-from conftest import (dag_from_gates, formula_text, majority, oracle_eval_dag, oracle_table_dag,
-                      oracle_table_formula, random_dag, unfold_to_formula)
+from conftest import (dag_from_gates, formula_text, majority, oracle_assignment_bits, oracle_eval_dag,
+                      oracle_lane_words, oracle_table_dag, oracle_table_formula, random_dag, unfold_to_formula)
 
 
 # ---------------------------------------------------------------------- parsing
@@ -341,6 +344,28 @@ def test_exhaustive_table_in_chunks_matches_oracle(rng):
         assert exhaustive_table(c) == oracle_table_dag(c)
 
 
+@pytest.mark.parametrize("n", [*range(9), 13])
+def test_enumeration_words_match_scalar_definition(n):
+    chunks = list(enumeration_words(n))
+    assert all(w.dtype == np.uint64 and w.shape[0] == n and 1 <= w.shape[1] <= CHUNK_WORDS for w in chunks)
+    words = np.concatenate(chunks, axis=1)
+    assert words.shape == (n, max(1, (1 << n) // 64))  # below 64 assignments the tail lanes are 0
+    assert words.tolist() == oracle_lane_words(oracle_assignment_bits(n))
+    start, stop = (1 << n) // 3, (1 << n) // 2 + 1
+    assert assignment_bits(n, start, stop).tolist() == [row[start:stop] for row in oracle_assignment_bits(n)]
+
+
+@pytest.mark.parametrize("body, table", [
+    ("k = CONST1\noutput k\n", 1),
+    ("k = CONST1\ng = NOT k\noutput g\n", 0),
+    ("k = CONST0\ng = XOR k\nh = NOT g\noutput h\noutput g\n", 1),
+])
+def test_exhaustive_table_without_inputs(body, table):
+    c = parse_netlist(body)
+    assert c.n_inputs == 0
+    assert exhaustive_table(c) == table == oracle_table_dag(c)
+
+
 def _random_dag_with_dead_gates(rng: np.random.Generator, n: int) -> CircuitDag:
     """Random DAG with CONST0/CONST1 gates, fan-in-1 gates, several outputs in
     random order (an input and a repeat among them), and a dead NOT and XOR
@@ -380,8 +405,8 @@ def test_cone_agrees_with_whole_dag(rng):
             b, off = divmod(lane, 64)
             x = [int(words[i, b]) >> off & 1 for i in range(n)]
             assert [int(got[k, b]) >> off & 1 for k in range(len(c.outputs))] == oracle_eval_dag(c, x)
-        for k in range(len(c.outputs)):
-            assert exhaustive_table(cone, k) == exhaustive_table(c, k)
+        for words in enumeration_words(n):  # every output, on every assignment
+            assert np.array_equal(PackedEvaluator(cone).outputs(words), PackedEvaluator(c).outputs(words))
 
 
 def test_cone_drops_exactly_the_dead_gates():

@@ -13,7 +13,7 @@ from apxmaj.circuits import FormulaNode, GateKind, formula_to_dag, parse_formula
 from apxmaj.errors import ResourceLimitError
 from apxmaj.verify import TruthTable
 
-from conftest import (alternating_formula, brute_table, lane_bits, oracle_sample_value, oracle_table_formula,
+from conftest import (alternating_formula, brute_table, oracle_sample_value, oracle_table_formula,
                       random_formula)
 
 
@@ -171,7 +171,7 @@ def test_sample_is_the_batch_of_one(rng):
         s = int(rng.integers(2**32))
         p = C.sample(r, s)
         tables = C.sample_tables(r, 1, s)
-        assert brute_table(p) == lane_bits(tables, 1)[0].tolist()
+        assert brute_table(p) == g.lane_bits(tables, 1)[:, 0].tolist()
         assert int(C.table_degrees(tables, r.n)[0]) == p.degree
 
 
@@ -186,7 +186,7 @@ def test_sample_tables_match_scalar_oracle(rng, lanes):
         n, s = r.n, int(rng.integers(2**32))
         tables = C.sample_tables(r, lanes, s)
         assert tables.shape == (1 << n, -(-lanes // 64))
-        bits = lane_bits(tables, 64 * tables.shape[1])
+        bits = g.lane_bits(tables, 64 * tables.shape[1]).T
         assert not bits[lanes:].any()
         draws = {}
         for lane in range(lanes):
@@ -257,7 +257,7 @@ def test_lookup_recipes_reach_every_path():
 def test_lookup_parity_matches_scalar_oracle(rng, lanes):
     for r in _lookup_recipes():
         n, s = r.n, int(rng.integers(2**32))
-        bits = lane_bits(C.sample_tables(r, lanes, s), lanes)
+        bits = g.lane_bits(C.sample_tables(r, lanes, s), lanes).T
         draws = {}
         # every lane of a small batch; of 4,099, every 17th, up to lane 4,097 of the second chunk
         for lane in range(0, lanes, 1 if lanes <= 128 else 17):
@@ -320,7 +320,7 @@ def test_compiled_error_empirical(rng):
     f = parse_formula("(or (and x0 x1) (and x2 x3))")
     r = C.compile_formula(f)
     tables = C.sample_tables(r, 10_000, seed=77)
-    bits = lane_bits(tables, 10_000)
+    bits = g.lane_bits(tables, 10_000).T
     truth = oracle_table_formula(f, 4)
     tb = np.array([(truth >> j) & 1 for j in range(16)], dtype=np.uint8)
     errs = (bits != tb[None, :]).mean(axis=0)
@@ -338,7 +338,7 @@ def test_compile_handles_constants_and_not_root():
     rn = C.compile_formula(notf)
     assert rn.err_bound <= 0.125
     tables = C.sample_tables(rn, 2000, seed=5)
-    bits = lane_bits(tables, 2000)
+    bits = g.lane_bits(tables, 2000).T
     truth = oracle_table_formula(notf, 2)
     tb = np.array([(truth >> j) & 1 for j in range(4)], dtype=np.uint8)
     assert (bits != tb[None, :]).mean(axis=0).max() <= 0.16

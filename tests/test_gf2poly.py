@@ -8,7 +8,8 @@ from apxmaj import gf2poly as g
 from apxmaj.circuits import parse_formula
 from apxmaj.errors import DimensionError, ResourceLimitError
 
-from conftest import brute_table, lane_bits, oracle_mobius_transform
+from conftest import (brute_table, oracle_bits_int, oracle_int_bits, oracle_lane_bits, oracle_lane_words,
+                      oracle_mobius_transform)
 
 
 MAJ3 = g.SparsePolyF2(3, frozenset({0b011, 0b101, 0b110}))  # x0*x1 + x0*x2 + x1*x2
@@ -17,6 +18,37 @@ MAJ3 = g.SparsePolyF2(3, frozenset({0b011, 0b101, 0b110}))  # x0*x1 + x0*x2 + x1
 def polys(n):
     return st.frozensets(st.integers(0, (1 << n) - 1), max_size=12).map(
         lambda monos: g.SparsePolyF2(n, monos))
+
+
+# ------------------------------------------------------------------ bit layouts
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_int_bits_round_trip_matches_scalar_definition(rng, width):
+    top = (1 << width) - 1
+    values = [0, top, 1, 1 << (width - 1)] + [int.from_bytes(rng.bytes(17), "little") & top for _ in range(40)]
+    bits = g.int_bits(values, width)
+    assert bits.dtype == np.uint8 and bits.tolist() == oracle_int_bits(values, width)
+    assert [g.bits_int(row) for row in bits] == values == [oracle_bits_int(row) for row in bits]
+    assert g.int_bits([], width).shape == (0, width)
+    for bad in (-1, 1 << width, -(1 << width), 1 << 200):
+        with pytest.raises(DimensionError):
+            g.int_bits([0, bad], width)
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 4099])
+def test_lane_words_round_trip_matches_scalar_definition(rng, lanes):
+    bits = rng.integers(0, 2, size=(3, lanes), dtype=np.uint8)
+    words = g.lane_words(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, -(-lanes // 64))
+    assert words.tolist() == oracle_lane_words(bits.tolist())
+    got = g.lane_bits(words, lanes)
+    assert got.dtype == np.uint8 and got.tolist() == oracle_lane_bits(words, lanes) == bits.tolist()
+    ones = g.lane_words(np.ones((2, lanes), dtype=bool))  # the pad lanes of the last word are 0
+    assert g.lane_bits(ones, 64 * ones.shape[1]).tolist() == [[1] * lanes + [0] * (-lanes % 64)] * 2
+    # a single row and a stack of rows keep the layout along the last axis
+    assert np.array_equal(g.lane_words(bits[0]), words[0])
+    assert np.array_equal(g.lane_words(bits[None]), words[None])
+    assert np.array_equal(g.lane_bits(words[:, ::-1], lanes), g.lane_bits(words[:, ::-1].copy(), lanes))
 
 
 # ---------------------------------------------------------------- truth tables
@@ -49,7 +81,7 @@ def test_mobius_row_axis_matches_word_axis(rng, n):
     sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
     lanes = g.mobius_transform(sliced.view("<u8"), n)
     assert lanes.dtype == np.uint64
-    assert np.array_equal(lane_bits(lanes, 130), g.mobius_transform(bits.T, n).T)
+    assert np.array_equal(g.lane_bits(lanes, 130), g.mobius_transform(bits.T, n))
     assert np.array_equal(g.mobius_transform(lanes, n), sliced.view("<u8"))
     with pytest.raises(DimensionError):
         g.mobius_transform(sliced.view("<u8")[1:], n)
