@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 from .gf2poly import assignment_bits, bits_int, int_bits, lane_bits, lane_words
 
 WORD_BITS = 64
@@ -443,16 +443,14 @@ def enumeration_words(n: int):
         yield lane_words(assignment_bits(n, start, min(start + lanes, 1 << n)))
 
 
-def formula_to_dag(f: FormulaNode, n_vars: int | None = None) -> CircuitDag:
-    """The formula's tree as a single-output DAG over n_vars inputs (default
-    f.n_vars), a gate per internal node in postorder."""
-    n = f.n_vars if n_vars is None else n_vars
+def formula_to_dag(f: FormulaNode) -> CircuitDag:
+    """The formula's tree as a single-output DAG over f.n_vars inputs, a gate
+    per internal node in postorder."""
+    n = f.n_vars
     kinds, lengths, operands = [_CODE["INPUT"]] * n, [0] * n, []
 
     def build(node: FormulaNode) -> int:
         if node.kind is GateKind.INPUT:
-            if node.var >= n:
-                raise DimensionError(f"variable x{node.var} out of range for n={n}")
             return node.var
         args = [build(ch) for ch in node.children]
         operands.extend(args)

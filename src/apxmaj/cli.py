@@ -40,6 +40,7 @@ EXIT_INTERNAL = 4
 CHECK_WORK_CAP = 10**6
 # tuples `check lemma` draws per chunk: chunk c, tuples c * LEMMA_CHUNK on, is keyed by (seed, c)
 LEMMA_CHUNK = 4096
+ERROR_TABLE_MAX_N = 16  # most variables of a formula `compile` writes errors.csv rows for
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,24 +173,23 @@ def cmd_compile(args) -> int:
     verify_mod.emit_report(recipe.ledger(), out / "ledger.csv")
 
     rows, max_deg, capped = [], None, ""  # the error table needs the full-table sampler
-    if recipe.n <= 16:
+    if recipe.n <= ERROR_TABLE_MAX_N:
         try:  # the whole --trials, before the first chunk
             compiler.check_sample_work(recipe, 1 << recipe.n, -(-args.trials // 64))
         except ResourceLimitError as e:
             capped = f"\nno error table: {e}"
-    if recipe.n <= 16 and not capped:
-        truth = gf2poly.table_rows(verify_mod.TruthTable.from_circuit(formula_to_dag(formula, recipe.n)).bits,
-                                   recipe.n)
-        wrong, max_deg = np.zeros(truth.shape, dtype=np.int64), 0
-        # one lane chunk at a time: per-input error counts and the largest
-        # degree are all that is kept
-        for c, start in enumerate(range(0, args.trials, compiler.LANE_CHUNK)):
-            lanes = min(compiler.LANE_CHUNK, args.trials - start)
-            tables = compiler.sample_tables(recipe, lanes, args.seed, c)
-            ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-            wrong += np.where(truth, lanes - ones, ones)
-            max_deg = max(max_deg, int(compiler.table_degrees(tables, recipe.n).max()))
-        rows = [{"input": j, "empirical_error": e} for j, e in enumerate((wrong / args.trials).tolist())]
+        else:
+            truth = gf2poly.table_rows(verify_mod.TruthTable.from_circuit(formula_to_dag(formula)).bits, recipe.n)
+            wrong, max_deg = np.zeros(truth.shape, dtype=np.int64), 0
+            # one lane chunk at a time: per-input error counts and the largest
+            # degree are all that is kept
+            for c, start in enumerate(range(0, args.trials, compiler.LANE_CHUNK)):
+                lanes = min(compiler.LANE_CHUNK, args.trials - start)
+                tables = compiler.sample_tables(recipe, lanes, args.seed, c)
+                ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+                wrong += np.where(truth, lanes - ones, ones)
+                max_deg = max(max_deg, int(compiler.table_degrees(tables).max()))
+            rows = [{"input": j, "empirical_error": e} for j, e in enumerate((wrong / args.trials).tolist())]
     verify_mod.emit_report(rows, out / "errors.csv",
                            meta={"seed": args.seed, "reports": ["recipe.json", "ledger.csv", "errors.csv"]})
 

@@ -360,7 +360,7 @@ def _eval_node(node: RecipeNode, lanes: _Lanes, seed: int, path: tuple) -> np.nd
         return np.full((lanes.columns.shape[1], 1), _ONES if node.bit else 0, dtype=np.uint64)
     if isinstance(node, ReduceNode):
         copies = [_eval_node(node.child, lanes, seed, path + ("copy", c)) for c in range(node.t)]
-        return majority_words(copies, _ONES)
+        return majority_words(copies)
     values = [_eval_node(c, lanes, seed, path + ("ch", i)) for i, c in enumerate(node.children)]
     kind = node.kind
     if kind is GateKind.NOT:
@@ -410,7 +410,7 @@ def sample(recipe: CompiledRecipe, seed: int) -> SparsePolyF2:
     Deterministic in seed, degree <= degree_bound.  Capped at n <= 20, as
     sample_tables is; eval_sample reads the same lane at any n.
     """
-    coeffs = mobius_transform(sample_tables(recipe, 1, seed), recipe.n)[:, 0] & np.uint64(1)
+    coeffs = mobius_transform(sample_tables(recipe, 1, seed))[:, 0] & np.uint64(1)
     return SparsePolyF2(recipe.n, frozenset(np.flatnonzero(coeffs).tolist()))
 
 
@@ -444,10 +444,11 @@ def sample_tables(recipe: CompiledRecipe, n_samples: int, seed: int, chunk: int 
     return out
 
 
-def table_degrees(tables: np.ndarray, n: int) -> np.ndarray:
+def table_degrees(tables: np.ndarray) -> np.ndarray:
     """ANF degree of every lane of bitsliced tables (the layout of
-    sample_tables): a (64 W,) uint8 array, 0 for lanes that are all 0."""
-    coeffs = mobius_transform(tables, n)
+    sample_tables, 2^n rows): a (64 W,) uint8 array, 0 for lanes that are all 0."""
+    coeffs = mobius_transform(tables)
+    n = len(coeffs).bit_length() - 1
     weights = np.bitwise_count(np.arange(1 << n))
     by_weight = np.stack([np.bitwise_or.reduce(coeffs[weights == d]) for d in range(n + 1)])
     lanes = lane_bits(by_weight, 64 * tables.shape[1])

@@ -95,16 +95,17 @@ def assignment_bits(n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def majority_words(rows: Sequence[np.ndarray], full) -> np.ndarray:
-    """Bitwise majority of packed rows: a bit is 1 iff at least
+def majority_words(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Bitwise majority of rows of uint64 words: a bit is 1 iff at least
     len(rows)//2 + 1 of the rows have it set (for odd counts (t+1)/2; for
-    any count, strictly more than half).  `full` masks the valid bits.
+    any count, strictly more than half).  No rows (an array of shape
+    (0, ...)) give zeros of shape rows.shape[1:].
 
     Bitsliced: the rows are added into binary counter planes, which are then
     compared with the threshold from the top plane down.
     """
     if len(rows) == 0:
-        return np.zeros_like(full)
+        return np.zeros(np.shape(rows)[1:], np.uint64)
     planes: list[np.ndarray] = []
     for c, row in enumerate(rows, 1):
         carry = row
@@ -113,8 +114,7 @@ def majority_words(rows: Sequence[np.ndarray], full) -> np.ndarray:
         if len(planes) < c.bit_length():
             planes.append(carry)
     thr = len(rows) // 2 + 1
-    ge = np.zeros_like(full)
-    eq = full
+    ge, eq = np.uint64(0), ~np.uint64(0)
     for j in range(len(planes) - 1, -1, -1):
         if (thr >> j) & 1:
             eq = eq & planes[j]
@@ -134,17 +134,19 @@ def table_rows(bits: int, n: int) -> np.ndarray:
 def from_truth_table(bits: int, n: int) -> SparsePolyF2:
     """Unique multilinear ANF of a truth table (Moebius transform over F2);
     bit j of the int ``bits`` is f at assignment j."""
-    return SparsePolyF2(n, frozenset(np.flatnonzero(mobius_transform(table_rows(bits, n), n)).tolist()))
+    return SparsePolyF2(n, frozenset(np.flatnonzero(mobius_transform(table_rows(bits, n))).tolist()))
 
 
-def mobius_transform(rows: np.ndarray, n: int) -> np.ndarray:
+def mobius_transform(rows: np.ndarray) -> np.ndarray:
     """XOR Moebius transform (self-inverse) of truth tables laid out by rows:
     rows (2^n, ...), entry j in row j, every other position its own table
     (a 0/1 column, or the bits of `compiler.sample_tables`' lanes).  Row S of
     the result holds the ANF coefficients of the monomial S; the dtype is kept.
+    DimensionError unless the row count is a power of two.
     """
-    if rows.shape[:1] != (1 << n,):
-        raise DimensionError(f"expected {1 << n} rows for n={n}, got shape {rows.shape}")
+    n = (len(rows) if rows.ndim else 0).bit_length() - 1
+    if n < 0 or len(rows) != 1 << n:
+        raise DimensionError(f"expected a power-of-two row count, got shape {rows.shape}")
     a = np.array(rows, order="C")  # reshape must give views of it
     for i in range(n):  # variable i pairs row j with row j + 2^i
         v = a.reshape(1 << (n - 1 - i), 2, -1)

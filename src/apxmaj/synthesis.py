@@ -39,7 +39,7 @@ from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
 WIDTH_CAP = 10**7
-# most operands synth may draw (sum of width * fan-in): 3.1 GB at 31 B each
+# most inputs plus drawn operands (sum of width * fan-in) synth may hold: 3.1 GB at 31 B each
 OPERAND_CAP = 10**8
 # deepest plan: a plan holds a LevelSpec per level and plan.json lists them
 # all, while the construction's depths are O(log n / log log n)
@@ -116,15 +116,11 @@ class SynthPlan:
         return not self.synth_blockers()
 
     def synth_blockers(self) -> list[str]:
-        out = []
-        for spec in self.levels:
-            if spec.width is None:
-                out.append(f"{spec.describe()}: width exceeds cap {WIDTH_CAP}")
-            if spec.fan_in is None:
-                out.append(f"{spec.describe()}: fan-in exceeds cap {WIDTH_CAP}")
+        out = [f"{spec.describe()}: {name} exceeds cap {WIDTH_CAP}" for spec in self.levels
+               for name, value in (("width", spec.width), ("fan-in", spec.fan_in)) if value is None]
         operands = 0 if out else sum(spec.width * spec.fan_in for spec in self.levels)
-        if operands > OPERAND_CAP:
-            out.append(f"{operands} drawn operands exceed cap {OPERAND_CAP}")
+        if not out and self.n + operands > OPERAND_CAP:
+            out.append(f"{self.n} inputs and {operands} drawn operands exceed cap {OPERAND_CAP}")
         return out
 
 

@@ -255,7 +255,7 @@ def certify_approx_majority(c: CircuitDag, eps: float, mode: str = "exact",
     evaluator = PackedEvaluator(c.cone())
     bad = 0
     for words in chunks:
-        diff = evaluator.outputs(words)[0] ^ majority_words(words, ~np.uint64(0))
+        diff = evaluator.outputs(words)[0] ^ majority_words(words)
         bad += int(np.bitwise_count(diff).sum())
     if trials % 64:  # lanes past the last input, in the last word, hold the all-zero input
         bad -= int(np.bitwise_count(diff[-1] >> np.uint64(trials % 64)))

@@ -14,7 +14,7 @@ import pytest
 
 from apxmaj import compiler as C
 from apxmaj import synthesis as S
-from apxmaj.circuits import KINDS, CircuitDag, FormulaNode, Gate, GateKind
+from apxmaj.circuits import KINDS, CircuitDag, FormulaNode, Gate, GateKind, formula_to_dag
 from apxmaj.errors import DimensionError
 from apxmaj.rng import rng_for
 
@@ -25,6 +25,16 @@ def dag_from_gates(n_inputs: int, gates, outputs) -> CircuitDag:
     """The CircuitDag of `Gate` objects, the inverse of `CircuitDag.gates`."""
     return CircuitDag(n_inputs, [KINDS.index(g.kind) for g in gates],
                       np.cumsum([0] + [len(g.args) for g in gates]), [a for g in gates for a in g.args], outputs)
+
+
+def formula_dag(f: FormulaNode, n: int) -> CircuitDag:
+    """`formula_to_dag(f)` over n >= f.n_vars inputs: inputs f.n_vars.. are
+    read by no gate, and the gates move up by the inputs added."""
+    c, pad = formula_to_dag(f), n - f.n_vars
+    ids = lambda a: np.where(a < f.n_vars, a, a + pad)
+    return CircuitDag(n, np.concatenate([np.full(pad, KINDS.index(GateKind.INPUT)), c.kinds]),
+                      np.concatenate([np.zeros(pad, np.int64), c.offsets]), ids(c.operands),
+                      tuple(ids(np.array(c.outputs)).tolist()))
 
 
 def unfold_to_formula(c: CircuitDag) -> FormulaNode:

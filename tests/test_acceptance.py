@@ -69,7 +69,7 @@ def test_c1_gate_approximator_exactness():
         recipe = C.compile_formula(f)
         tables = C.sample_tables(recipe, trials, seed=SEED_C1 + m)
         for start in range(0, tables.shape[1], 320):  # 20,480 lanes at a time
-            degs = C.table_degrees(tables[:, start:start + 320], m)
+            degs = C.table_degrees(tables[:, start:start + 320])
             if int(degs.max()) > 3:
                 failures.append(f"m={m}: sampled degree {int(degs.max())} > 3")
         ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)  # samples = 1, per input
@@ -152,7 +152,7 @@ def test_c2_compiler_end_to_end():
         if recipe.degree_bound > bound:
             failures.append(f"formula {fi}: ledger bound {recipe.degree_bound} > {bound:.1f}")
         tables = C.sample_tables(recipe, 2000, seed=SEED_C2 * 1000 + fi)
-        degs = C.table_degrees(tables, recipe.n)
+        degs = C.table_degrees(tables)
         if int(degs.max()) > recipe.degree_bound:
             failures.append(f"formula {fi}: sampled degree {int(degs.max())} "
                             f"> bound {recipe.degree_bound}")

@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import re
 import runpy
 import shutil
 import time
@@ -226,9 +227,22 @@ def test_synth_operand_cap_writes_plan_only(workdir, capsys):
     assert not S.plan(101, 4, 0.25, {"A": 16, "M": 10**6}).synthesizable
     assert run(argv + ["--out", "p"]) == EXIT_OK
     assert capsys.readouterr().out.startswith(
-        f"NOTSYNTH: 1179532001000 drawn operands exceed cap {S.OPERAND_CAP}\n")
+        f"NOTSYNTH: 101 inputs and 1179532001000 drawn operands exceed cap {S.OPERAND_CAP}\n")
     assert sorted(p.name for p in (workdir / "p").iterdir()) == ["plan.json", "plan.json.meta.json"]
     assert json.loads((workdir / "p/plan.json").read_text())["synthesizable"] is False
+
+
+@pytest.mark.parametrize("n", [10**12, 10**8])
+def test_synth_inputs_count_against_the_operand_cap(workdir, capsys, n):
+    # each input is a gate row too, so n alone can reach the cap (10^12 inputs
+    # would take terabytes): synth then builds nothing and returns at once
+    start = time.perf_counter()
+    assert run(["synth", "--n", str(n), "--d", "3", "--eps", "0.25", "--override", "A=3,M=16,Mtop=16",
+                "--out", "p"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith(
+        f"NOTSYNTH: {n} inputs and 228 drawn operands exceed cap {S.OPERAND_CAP}\n")
+    assert sorted(p.name for p in (workdir / "p").iterdir()) == ["plan.json", "plan.json.meta.json"]
 
 
 def test_synth_d1_usage_error(workdir, capsys):
@@ -655,10 +669,12 @@ def test_library_surface():
     g = apxmaj.gf2poly
     params = {f.__name__: list(inspect.signature(f).parameters)
               for f in (compiler.theoretical_degree, compiler.razborov_gate_recipe, g.mobius_transform,
+                        compiler.table_degrees, g.majority_words, apxmaj.circuits.formula_to_dag,
                         apxmaj.circuits.exhaustive_table, apxmaj.circuits.pack_lanes, g.int_bits, g.bits_int,
                         g.lane_words, g.lane_bits, g.assignment_bits)}
     assert params == {"theoretical_degree": ["s", "d"], "razborov_gate_recipe": ["kind", "eps"],
-                      "mobius_transform": ["rows", "n"], "exhaustive_table": ["c"], "pack_lanes": ["n", "masks"],
+                      "mobius_transform": ["rows"], "table_degrees": ["tables"], "majority_words": ["rows"],
+                      "formula_to_dag": ["f"], "exhaustive_table": ["c"], "pack_lanes": ["n", "masks"],
                       "int_bits": ["values", "width"], "bits_int": ["bits"], "lane_words": ["bits"],
                       "lane_bits": ["words", "lanes"], "assignment_bits": ["n", "start", "stop"]}
     assert [f.name for f in dataclasses.fields(compiler.GateApproximator)] == ["kind", "eps", "k"]
@@ -715,6 +731,38 @@ def test_src_holds_only_code_that_the_package_or_its_users_call():
                            if name == d.name and not (where == module and d.lineno <= line <= d.end_lineno)):
                     unused.append(f"{module}.{d.name}")
     assert unused == []
+
+
+def test_every_field_has_a_reader():
+    # each field of a dataclass or NamedTuple in src/apxmaj is read as an
+    # attribute in the package, scripts/ or perfbench/, written whole by a
+    # report's vars(...), or named in README's Library section (tests do not count)
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src/apxmaj").glob("*.py")}
+    users = [ast.parse(p.read_text()) for p in [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]]
+    read = {name for tree in [*trees.values(), *users] for kind, name, _, _ in _reads(tree) if kind == "attr"}
+    library = (ROOT / "README.md").read_text().split("## Library\n")[1].split("\n## ")[0]
+    code = library.split("```python\n")[1].split("```")[0]
+    named = set(re.findall(r"`(\w+)`", library)) | {name for _, name, _, _ in _reads(ast.parse(code))}
+    functions = [d for tree in trees.values() for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+    returns = {d.name: d.returns.id for d in functions if isinstance(d.returns, ast.Name)}
+    written = set()  # vars(x) writes each field of the class that the call assigned to x returns
+    for fn in functions:
+        calls = {a.targets[0].id: a.value.func for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                 and isinstance(a.targets[0], ast.Name) and isinstance(a.value, ast.Call)}
+        for c in ast.walk(fn):
+            if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "vars":
+                func = calls[c.args[0].id]
+                written.add(returns[func.attr if isinstance(func, ast.Attribute) else func.id])
+    unread = []
+    for module, tree in trees.items():
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef) and c.name not in written and (
+                    any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in c.decorator_list)
+                    or any(getattr(b, "id", None) == "NamedTuple" for b in c.bases)):
+                unread += [f"{module}.{c.name}.{s.target.id}" for s in c.body if isinstance(s, ast.AnnAssign)
+                           and s.target.id not in read | named]
+    assert written == {"CertificationReport", "DegreeCertificate"}
+    assert unread == []
 
 
 def test_only_gf2poly_converts_bit_layouts():

@@ -65,12 +65,13 @@ def test_from_truth_table_examples():
 @pytest.mark.parametrize("n", range(11))
 def test_packed_mobius_matches_uint8_oracle(rng, n):
     bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
-    got = g.mobius_transform(bits.T, n)
+    got = g.mobius_transform(bits.T)
     assert got.dtype == np.uint8 and np.array_equal(got, oracle_mobius_transform(bits).T)
-    assert np.array_equal(g.mobius_transform(got, n), bits.T)
-    for wrong in (bits.T[1:], bits, np.uint8(1)):
+    assert np.array_equal(g.mobius_transform(got), bits.T)
+    # n comes from the row count, which must be a power of two
+    for wrong in (bits.T[:0], np.tile(bits.T, (3, 1)), bits, np.uint8(1)):
         with pytest.raises(DimensionError):
-            g.mobius_transform(wrong, n)
+            g.mobius_transform(wrong)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -79,27 +80,28 @@ def test_mobius_row_axis_matches_word_axis(rng, n):
     bits = rng.integers(0, 2, size=(130, 1 << n), dtype=np.uint8)
     sliced = np.zeros((1 << n, 24), dtype=np.uint8)
     sliced[:, :17] = np.packbits(bits.T, axis=1, bitorder="little")
-    lanes = g.mobius_transform(sliced.view("<u8"), n)
+    lanes = g.mobius_transform(sliced.view("<u8"))
     assert lanes.dtype == np.uint64
-    assert np.array_equal(g.lane_bits(lanes, 130), g.mobius_transform(bits.T, n))
-    assert np.array_equal(g.mobius_transform(lanes, n), sliced.view("<u8"))
+    assert np.array_equal(g.lane_bits(lanes, 130), g.mobius_transform(bits.T))
+    assert np.array_equal(g.mobius_transform(lanes), sliced.view("<u8"))
     with pytest.raises(DimensionError):
-        g.mobius_transform(sliced.view("<u8")[1:], n)
+        g.mobius_transform(np.tile(sliced.view("<u8"), (3, 1)))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_bitsliced_majority_matches_lane_popcount(rng, n):
     rows = rng.integers(0, 1 << 63, size=(n, 5), dtype=np.uint64) << np.uint64(1)
     rows |= rng.integers(0, 2, size=(n, 5), dtype=np.uint64)
-    full = np.full(5, ~np.uint64(0))
-    full[-1] = np.uint64((1 << 40) - 1)
-    got = g.majority_words(list(rows), full)
+    got = g.majority_words(list(rows))
+    assert got.shape == (5,)
     for lane in range(5 * 64):
         b, off = divmod(lane, 64)
         ones = sum(int(r) >> off & 1 for r in rows[:, b])
-        want = int(2 * ones > n and (int(full[b]) >> off & 1))
-        assert int(got[b]) >> off & 1 == want
-    assert np.array_equal(got, g.majority_words(rows, full))  # array rows too
+        assert int(got[b]) >> off & 1 == int(2 * ones > n)
+    assert np.array_equal(got, g.majority_words(rows))  # array rows too
+    # the majority of no rows (certification at n = 0) is 0 in every lane
+    none = g.majority_words(rows[:0])
+    assert none.dtype == np.uint64 and none.shape == (5,) and not none.any()
 
 
 def test_truth_table_guard():

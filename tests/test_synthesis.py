@@ -35,9 +35,15 @@ def test_plan_caps_drawn_operands():
         assert all(s.width is not None and s.fan_in is not None for s in p.levels)
         operands = sum(s.width * s.fan_in for s in p.levels)
         assert operands > S.OPERAND_CAP
-        assert p.synth_blockers() == [f"{operands} drawn operands exceed cap {S.OPERAND_CAP}"]
+        assert p.synth_blockers() == [f"101 inputs and {operands} drawn operands exceed cap {S.OPERAND_CAP}"]
         assert not p.synthesizable
     assert S.plan(**DESK).synthesizable
+    # the inputs count too: a desk plan's operands do not grow with n
+    small = {"A": 3, "M": 16, "M_top": 16}
+    operands = sum(s.width * s.fan_in for s in S.plan(101, 3, 0.25, small).levels)
+    assert S.plan(S.OPERAND_CAP - operands, 3, 0.25, small).synth_blockers() == []
+    assert S.plan(S.OPERAND_CAP - operands + 1, 3, 0.25, small).synth_blockers() == [
+        f"{S.OPERAND_CAP - operands + 1} inputs and {operands} drawn operands exceed cap {S.OPERAND_CAP}"]
 
 
 def test_plan_rejects_bad_arguments():

@@ -12,10 +12,10 @@ from apxmaj import gf2poly as g
 from apxmaj import synthesis as S
 from apxmaj import verify as V
 from apxmaj.compiler import compile_formula
-from apxmaj.circuits import Gate, GateKind, formula_to_dag, parse_formula, parse_netlist
+from apxmaj.circuits import Gate, GateKind, parse_formula, parse_netlist
 from apxmaj.errors import DimensionError, ParseError, ResourceLimitError
 
-from conftest import brute_table, dag_from_gates, majority, oracle_table_dag, random_dag
+from conftest import brute_table, dag_from_gates, formula_dag, majority, oracle_table_dag, random_dag
 
 
 def brute_min_degree(table_bits: int, n: int, eps: float) -> int:
@@ -205,11 +205,21 @@ def test_certify_exact_examples():
         assert (rep.disagreement, rep.ci_lo, rep.ci_hi, rep.trials) == (dis, dis, dis, 8)
 
 
+@pytest.mark.parametrize("kind, dis", [("CONST0", 0.0), ("CONST1", 1.0)])
+def test_certify_netlist_without_inputs(kind, dis):
+    # the majority of no inputs is 0: CONST0 agrees with it, CONST1 never does
+    c = parse_netlist(f"z = {kind}\noutput z\n")
+    exact = V.certify_approx_majority(c, 0.25, "exact")
+    assert (exact.n, exact.disagreement, exact.trials, exact.passed) == (0, dis, 1, dis == 0.0)
+    mc = V.certify_approx_majority(c, 0.25, "mc", trials=100, seed=1)  # a part-filled last word
+    assert (mc.disagreement, mc.trials, mc.passed) == (dis, 100, dis == 0.0)
+
+
 def test_certify_mc_within_ci_most_runs():
     # true disagreement known exactly at n=12; the 99% Wilson CI should
     # cover it in at least 95 of 100 seeded runs
     f = parse_formula("(xor (and x0 x1 x2) (or x3 x4) (and x5 (not x6)))")
-    dag = formula_to_dag(f, 12)
+    dag = formula_dag(f, 12)
     exact = V.certify_approx_majority(dag, 0.5, "exact").disagreement
     covered = 0
     for s in range(100):
@@ -248,7 +258,7 @@ def test_certify_examples():
     maj_formula = parse_formula(
         "(or (and x0 x1 x2) (and x0 x1 x3) (and x0 x1 x4) (and x0 x2 x3) (and x0 x2 x4)"
         " (and x0 x3 x4) (and x1 x2 x3) (and x1 x2 x4) (and x1 x3 x4) (and x2 x3 x4))")
-    dag = formula_to_dag(maj_formula, 5)
+    dag = formula_dag(maj_formula, 5)
     assert V.certify_approx_majority(dag, 0.0, "exact").passed
     for eps in (0.0, 0.1, 0.25):
         assert V.certify_approx_majority(dag, eps, "exact").passed
@@ -256,7 +266,7 @@ def test_certify_examples():
 
 def test_certify_mc_against_exact(rng):
     f = parse_formula("(or (and x0 x1) (and x2 x3) (and x4 x5))")
-    dag = formula_to_dag(f, 6)
+    dag = formula_dag(f, 6)
     exact = V.certify_approx_majority(dag, 0.3, "exact")
     mc = V.certify_approx_majority(dag, 0.3, "mc", trials=60_000, seed=5)
     assert abs(mc.disagreement - exact.disagreement) < 0.01
@@ -279,13 +289,13 @@ def test_mc_memory_flat_in_trials():
 
 
 def test_mc_needs_a_seed():
-    dag = formula_to_dag(parse_formula("(or x0 x1)"), 3)
+    dag = formula_dag(parse_formula("(or x0 x1)"), 3)
     with pytest.raises(ValueError, match="mc mode needs a seed"):
         V.certify_approx_majority(dag, 0.25, "mc", trials=100)
 
 
 def test_mc_rejects_nonpositive_trials():
-    dag = formula_to_dag(parse_formula("(or x0 x1)"), 3)
+    dag = formula_dag(parse_formula("(or x0 x1)"), 3)
     for trials in (0, -5):
         with pytest.raises(ValueError):
             V.certify_approx_majority(dag, 0.25, "mc", trials=trials, seed=1)
