@@ -23,22 +23,18 @@ def main() -> int:
     ap.add_argument("--out", default="degree_table")
     args = ap.parse_args()
 
-    rows = []
+    header, rows = ("n", "epsilon", "degree", "distance", "allowed", "witness"), []
     for n in range(1, DEGREE_ORACLE_MAX_N + 1):
         table = majority_truth_table(n)
         for eps in args.eps:
             cert = min_approx_degree(table, eps)
-            rows.append({
-                "n": n, "epsilon": eps, "degree": cert.degree,
-                "distance": cert.distance, "allowed": cert.allowed,
-                "witness": format_poly(cert.witness),
-            })
+            rows.append((n, eps, cert.degree, cert.distance, cert.allowed, format_poly(cert.witness)))
             print(f"MAJ_{n} @ eps={eps}: degree {cert.degree} "
                   f"(distance {cert.distance}/{cert.allowed})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit_report(rows, out / "degrees.csv")
-    emit_report(rows, out / "degrees.json")
+    emit_report([header, *rows], out / "degrees.csv")
+    emit_report([dict(zip(header, row)) for row in rows], out / "degrees.json")
     return 0
 
 

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--override", default="",
-                    help="comma list, e.g. A=3,M=16384,Mtop=16384,stop=4.85")
+                    help="comma list, e.g. A=3,M=16384,Mtop=16384")
     common(sp, trials=False)
     sp.set_defaults(func=cmd_synth)
 
@@ -140,8 +140,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_overrides(text: str) -> dict:
     """key=value pairs as numbers; plan checks each value against its key."""
-    keymap = {"a": "A", "m": "M", "mtop": "M_top", "m_top": "M_top",
-              "stop": "s_top", "s_top": "s_top"}
+    keymap = {"a": "A", "m": "M", "mtop": "M_top", "m_top": "M_top"}
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -189,7 +188,7 @@ def cmd_compile(args) -> int:
                 ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
                 wrong += np.where(truth, lanes - ones, ones)
                 max_deg = max(max_deg, int(compiler.table_degrees(tables).max()))
-            rows = [{"input": j, "empirical_error": e} for j, e in enumerate((wrong / args.trials).tolist())]
+            rows = [("input", "empirical_error"), *enumerate((wrong / args.trials).tolist())]
     verify_mod.emit_report(rows, out / "errors.csv",
                            meta={"seed": args.seed, "reports": ["recipe.json", "ledger.csv", "errors.csv"]})
 
@@ -216,12 +215,11 @@ def cmd_synth(args) -> int:
     weights = sorted({int(0.4 * p.n), p.n // 2, math.ceil(0.6 * p.n)})
     checks = synth_mod.level_checks(result, [_random_weighted_input(p.n, w, args.seed)
                                              for w in weights])
-    band_rows = [{
-        "weight": w, "level": obs.index, "kind": obs.kind.value,
-        "ones_fraction": obs.ones_fraction, "predicted": obs.predicted,
-        "sigma": obs.sigma, "band_lo": obs.band_lo,
-        "band_hi": obs.band_hi, "pass": obs.within_3_sigma,
-    } for w, observations in zip(weights, checks) for obs in observations]
+    band_rows = [("weight", "level", "kind", "ones_fraction", "predicted", "sigma",
+                  "band_lo", "band_hi", "pass"),
+                 *((w, obs.index, obs.kind.value, obs.ones_fraction, obs.predicted, obs.sigma,
+                    obs.band_lo, obs.band_hi, obs.within_3_sigma)
+                   for w, observations in zip(weights, checks) for obs in observations)]
     meta["reports"] += ["circuit.netlist", "bands.csv"]
     verify_mod.emit_report(band_rows, out / "bands.csv", meta=meta)
     print(f"synthesized: depth={result.dag.depth} gates={result.dag.size} "
@@ -230,12 +228,9 @@ def cmd_synth(args) -> int:
 
 
 def _random_weighted_input(n: int, w: int, seed: int) -> int:
-    rng = rng_for(seed, "witness", w)
-    idx = rng.permutation(n)[:w]
-    mask = 0
-    for i in idx:
-        mask |= 1 << int(i)
-    return mask
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[rng_for(seed, "witness", w).permutation(n)[:w]] = 1
+    return gf2poly.bits_int(bits)
 
 
 def _plan_json(p) -> dict:

@@ -197,20 +197,19 @@ class CompiledRecipe:
             return 1 + sum(map(count, getattr(node, "children", ())))
         return count(self.root)
 
-    def ledger(self) -> list[dict]:
-        """The rows of ledger.csv, one per node in preorder: `size_i` is the
-        node's leaf count, `parent_size` that of the enclosing formula (s in
-        s_i/(16s)), `k_or_t` the factor count of a gate or the copy count of
-        a reduction.  eps_num/eps_den is the budget charged at that node: a
-        gate's own approximator error, a reduction's target, or -- for exact
-        children of an inner gate -- the s_i/(16s) share assigned to them, so
-        that per-gate child budgets always sum to exactly 1/16; else 0."""
-        rows: list[dict] = []
+    def ledger(self) -> list[tuple]:
+        """The rows of ledger.csv: the header, then one tuple per node in
+        preorder.  `size_i` is the node's leaf count, `parent_size` that of
+        the enclosing formula (s in s_i/(16s)), `k_or_t` the factor count of a
+        gate or the copy count of a reduction.  eps_num/eps_den is the budget
+        charged at that node: a gate's own approximator error, a reduction's
+        target, or -- for exact children of an inner gate -- the s_i/(16s)
+        share assigned to them, so that per-gate child budgets always sum to
+        exactly 1/16; else 0."""
+        rows = [("node_id", "kind", "size_i", "parent_size", "eps_num", "eps_den", "k_or_t", "degree_bound")]
 
         def row(kind: str, size: int, parent_size: int, eps: Fraction, k_or_t: int, degree: int):
-            rows.append({"node_id": len(rows), "kind": kind, "size_i": size, "parent_size": parent_size,
-                         "eps_num": eps.numerator, "eps_den": eps.denominator, "k_or_t": k_or_t,
-                         "degree_bound": degree})
+            rows.append((len(rows) - 1, kind, size, parent_size, eps.numerator, eps.denominator, k_or_t, degree))
 
         def walk(node: RecipeNode, parent_size: int, assigned: Fraction | None):
             budget = assigned if assigned is not None else Fraction(0)

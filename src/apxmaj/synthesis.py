@@ -39,8 +39,11 @@ from .rng import derive_seed, rng_for
 
 EPS0 = 0.5
 WIDTH_CAP = 10**7
-# most inputs plus drawn operands (sum of width * fan-in) synth may hold: 3.1 GB at 31 B each
+# most drawn operands (sum of width * fan-in) synth may hold, each input counted
+# as INPUT_OPERANDS of them: synth peaks near 60 B per operand at the desk shape
+# and 170 B per input, so near 6 GB at the cap
 OPERAND_CAP = 10**8
+INPUT_OPERANDS = 3
 # deepest plan: a plan holds a LevelSpec per level and plan.json lists them
 # all, while the construction's depths are O(log n / log log n)
 DEPTH_CAP = 1000
@@ -119,14 +122,13 @@ class SynthPlan:
         out = [f"{spec.describe()}: {name} exceeds cap {WIDTH_CAP}" for spec in self.levels
                for name, value in (("width", spec.width), ("fan-in", spec.fan_in)) if value is None]
         operands = 0 if out else sum(spec.width * spec.fan_in for spec in self.levels)
-        if not out and self.n + operands > OPERAND_CAP:
+        if not out and INPUT_OPERANDS * self.n + operands > OPERAND_CAP:
             out.append(f"{self.n} inputs and {operands} drawn operands exceed cap {OPERAND_CAP}")
         return out
 
 
-# override key -> (lower bound, whether the bound is strict); every value
-# must also be finite, and A, M, M_top integers (not booleans)
-_OVERRIDE_LOWER = {"A": (1, False), "M": (1, False), "M_top": (1, False), "s_top": (0, True)}
+# the override keys; each takes a finite integer >= 1 (not a boolean)
+_OVERRIDE_KEYS = ("A", "M", "M_top")
 
 
 def _finite(value) -> bool:
@@ -139,10 +141,10 @@ def _finite(value) -> bool:
 def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan:
     """Parameter sheet for the construction; overrides switch to desk mode.
 
-    Recognized override keys: A, M, M_top, s_top.  Each value must be
-    finite, with A, M, M_top integers >= 1 and s_top > 0; any other value
-    raises a ValueError naming its key.  n must fit a float, and d above
-    DEPTH_CAP raises ResourceLimitError before any level is laid out.
+    Recognized override keys: A, M, M_top.  Each value must be a finite
+    integer >= 1; any other value raises a ValueError naming its key.  n
+    must fit a float, and d above DEPTH_CAP raises ResourceLimitError before
+    any level is laid out.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -153,35 +155,23 @@ def plan(n: int, d: int, eps: float, overrides: dict | None = None) -> SynthPlan
     if not 0 < eps <= 0.5:
         raise ValueError("need 0 < eps <= 1/2")
     ov = dict(overrides or {})
-    unknown = set(ov) - set(_OVERRIDE_LOWER)
+    unknown = set(ov) - set(_OVERRIDE_KEYS)
     if unknown:
         raise ValueError(f"unknown overrides: {sorted(unknown)}")
     for key, value in ov.items():
-        lower, strict = _OVERRIDE_LOWER[key]
-        if not (_finite(value) and (type(value) is int or key == "s_top")
-                and (value > lower if strict else value >= lower)):
-            raise ValueError(f"override {key} must be finite and {'an integer ' * (key != 's_top')}"
-                             f"{'>' if strict else '>='} {lower}, got {value!r}")
+        if not (type(value) is int and _finite(value) and value >= 1):
+            raise ValueError(f"override {key} must be finite and an integer >= 1, got {value!r}")
     if d > DEPTH_CAP:
         raise ResourceLimitError(f"depth d={d} exceeds cap {DEPTH_CAP}")
     desk = bool(ov)
 
     a = ov.get("A", math.floor(n ** (1.0 / (2 * (d - 1)))))
     log_m = math.log(ov["M"]) if "M" in ov else 10.0 * a
-    if "M_top" in ov:
-        log_m_top = math.log(ov["M_top"])
-    elif desk:
-        log_m_top = log_m
-    else:
-        log_m_top = None  # fixed below once s_top is known
-
-    if "s_top" in ov:
-        s_top = float(ov["s_top"])
-    elif desk:
+    if desk:
+        log_m_top = math.log(ov["M_top"]) if "M_top" in ov else log_m
         s_top = 0.5 * log_m_top  # keeps ~sqrt(M') expected survivors at the top
     else:
         s_top = 10.0 * a * math.log(1.0 / eps) / eps
-    if log_m_top is None:
         log_m_top = s_top + 10.0 * a
 
     gamma = gamma_sequence(a, eps / math.sqrt(n), d - 2)

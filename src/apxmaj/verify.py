@@ -268,10 +268,11 @@ def certify_approx_majority(c: CircuitDag, eps: float, mode: str = "exact",
 
 def emit_report(results, out_path: str | Path, meta: dict | None = None) -> None:
     """Write results as JSON or CSV, by the path's suffix (`.json` or `.csv`;
-    any other raises ValueError).  A CSV holds a list of dict rows, under the
-    first row's keys as header.  Run metadata (timestamps etc.), when given,
-    goes to a sidecar so reruns are byte-identical: one per command, named
-    `<first report>.meta.json` after meta's "reports" list, else after out."""
+    any other raises ValueError).  A CSV's results are its rows, header first,
+    written as given (None as an empty cell; no rows, an empty file).  Run
+    metadata (timestamps etc.), when given, goes to a sidecar so reruns are
+    byte-identical: one per command, named `<first report>.meta.json` after
+    meta's "reports" list, else after out."""
     out_path = Path(out_path)
     if out_path.suffix not in (".json", ".csv"):
         raise ValueError(f"report path must end in .json or .csv, got '{out_path}'")
@@ -280,11 +281,7 @@ def emit_report(results, out_path: str | Path, meta: dict | None = None) -> None
         out_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     else:
         with out_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if results:
-                header = list(results[0])
-                writer.writerow(header)
-                writer.writerows([r.get(h) for h in header] for r in results)
+            csv.writer(fh).writerows(results)
     if meta is not None:
         sidecar = {**meta, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         sidecar_path = out_path.with_name(meta.get("reports", [out_path.name])[0] + ".meta.json")

@@ -18,8 +18,9 @@ from apxmaj import compiler
 from apxmaj import synthesis as S
 from apxmaj.circuits import FormulaNode, GateKind
 from apxmaj.cli import (CHECK_WORK_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE,
-                        EXIT_USAGE, LEMMA_CHUNK, _build_parser, main)
+                        EXIT_USAGE, LEMMA_CHUNK, _build_parser, _random_weighted_input, main)
 from apxmaj.gf2poly import lane_bits
+from apxmaj.rng import rng_for
 
 from conftest import alternating_formula, formula_text, oracle_table_formula, random_formula
 
@@ -200,7 +201,19 @@ def test_synth_and_verify_roundtrip(workdir):
     plan = json.loads((workdir / "s/plan.json").read_text())
     assert plan["mode"] == "desk-scale"
     assert plan["synthesizable"] is True
-    assert (workdir / "s/bands.csv").exists()
+    # a header, then 3 weights (int(0.4 n), n // 2, ceil(0.6 n)) x 3 levels;
+    # the band of a level without one is two empty cells
+    assert (workdir / "s/bands.csv").read_bytes() == (
+        b"weight,level,kind,ones_fraction,predicted,sigma,band_lo,band_hi,pass\r\n"
+        b"12,1,AND,0.0498046875,0.05800409519653586,0.0073047247751032275,0.04466441955647965,0.05490971717924824,True\r\n"
+        b"12,2,OR,0.7197265625,0.7885175252641539,0.04450726270045798,,,True\r\n"
+        b"12,3,AND,0.0,0.0004988422243531996,0.022347375940635867,,,True\r\n"
+        b"15,1,AND,0.09765625,0.11328924843073412,0.009904563865804999,0.04466441955647965,0.05490971717924824,True\r\n"
+        b"15,2,OR,0.9482421875,0.9561134607832431,0.014262738876117158,,,True\r\n"
+        b"15,3,AND,0.0,0.23784927966129144,0.44064511723515243,,,True\r\n"
+        b"19,1,AND,0.216796875,0.23023731999597194,0.013155771089748546,0.04466441955647965,0.05490971717924824,True\r\n"
+        b"19,2,OR,0.998046875,0.9988901145920923,0.0011514782482006261,,,True\r\n"
+        b"19,3,AND,1.0,0.9650879352545414,0.1869775414886174,,,True\r\n")
     rc = run(["verify", "s/circuit.netlist", "--eps", "0.4", "--mode", "mc",
               "--trials", "20000", "--seed", "11", "--out", "v"])
     cert = json.loads((workdir / "v/certification.json").read_text())
@@ -232,10 +245,11 @@ def test_synth_operand_cap_writes_plan_only(workdir, capsys):
     assert json.loads((workdir / "p/plan.json").read_text())["synthesizable"] is False
 
 
-@pytest.mark.parametrize("n", [10**12, 10**8])
+@pytest.mark.parametrize("n", [10**12, 10**8, (S.OPERAND_CAP - 228) // S.INPUT_OPERANDS + 1])
 def test_synth_inputs_count_against_the_operand_cap(workdir, capsys, n):
-    # each input is a gate row too, so n alone can reach the cap (10^12 inputs
-    # would take terabytes): synth then builds nothing and returns at once
+    # each input costs INPUT_OPERANDS operands, so n alone can reach the cap
+    # (10^12 inputs would take terabytes; the last n is one input over the
+    # bound): synth then builds nothing and returns at once
     start = time.perf_counter()
     assert run(["synth", "--n", str(n), "--d", "3", "--eps", "0.25", "--override", "A=3,M=16,Mtop=16",
                 "--out", "p"]) == EXIT_OK
@@ -243,6 +257,17 @@ def test_synth_inputs_count_against_the_operand_cap(workdir, capsys, n):
     assert capsys.readouterr().out.startswith(
         f"NOTSYNTH: {n} inputs and 228 drawn operands exceed cap {S.OPERAND_CAP}\n")
     assert sorted(p.name for p in (workdir / "p").iterdir()) == ["plan.json", "plan.json.meta.json"]
+
+
+def test_random_weighted_input_sets_the_drawn_indices():
+    for n in (3, 101, 1000, 4099):
+        for w in (0, 1, n // 2, n):
+            idx = rng_for(7, "witness", w).permutation(n)[:w]
+            assert _random_weighted_input(n, w, 7) == sum(1 << int(i) for i in idx)
+    start = time.perf_counter()  # linear in n: 10^6 inputs in milliseconds
+    x = _random_weighted_input(10**6, 5 * 10**5, 7)
+    assert time.perf_counter() - start < 0.5
+    assert x.bit_count() == 5 * 10**5 and x.bit_length() <= 10**6
 
 
 def test_synth_d1_usage_error(workdir, capsys):
@@ -566,9 +591,10 @@ def test_grid_values_of_each_kind_accepted(workdir):
 
 
 def test_unknown_override_rejected(workdir, capsys):
-    for key in ("Q", "logM", "logMtop", "logM_top"):
+    # s_top is computed (plan.json still writes it), not set
+    for key in ("Q", "logM", "logMtop", "logM_top", "stop", "s_top"):
         rc = run(["synth", "--n", "31", "--d", "2", "--eps", "0.25",
-                  "--override", f"A=3,M=64,{key}=3", "--out", "x"])
+                  "--override", f"A=3,M=64,{key}=4.85", "--out", "x"])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == f"error: unknown override key '{key}'\n"
         assert not (workdir / "x").exists()
@@ -687,6 +713,7 @@ def test_library_surface():
     assert [f.name for f in dataclasses.fields(S.SynthPlan)] == [
         "n", "d", "eps", "mode", "a", "log_m", "log_m_top", "s_top", "gamma", "delta",
         "levels", "side_conditions", "side_values"]
+    assert S._OVERRIDE_KEYS == ("A", "M", "M_top")
 
 
 def _reads(tree: ast.AST) -> list[tuple[str, str, str | None, int]]:
@@ -806,8 +833,8 @@ def test_trials_must_be_positive_integer(workdir, capsys, argv):
 
 
 @pytest.mark.parametrize("override, key", [
-    ("M=0", "M"), ("M=-4", "M"), ("A=3,M=64,stop=-1", "s_top"), ("A=0", "A"),
-    ("Mtop=0", "M_top"), ("A=3,M=64,stop=nan", "s_top"),
+    ("M=0", "M"), ("M=-4", "M"), ("A=3,M=64,Mtop=-1", "M_top"), ("A=0", "A"),
+    ("Mtop=0", "M_top"), ("A=3,M=nan", "M"),
     ("A=3.5", "A"), ("A=True", "A"), ("M=16384.7", "M"), ("A=3,Mtop=64.0", "M_top"),
     ("A=3,A=4", "A"), ("A=3,Mtop=64,M_top=64", "M_top"),
 ])

@@ -109,7 +109,8 @@ def test_compile_single_gates():
 
 def test_compile_depth2_budgets():
     r = C.compile_formula(parse_formula("(or (and x0 x1) (and x2 x3))"))
-    reduces = [row for row in r.ledger() if row["kind"] == "reduce"]
+    header, *rows = r.ledger()
+    reduces = [dict(zip(header, row)) for row in rows if row[header.index("kind")] == "reduce"]
     assert [Fraction(row["eps_num"], row["eps_den"]) for row in reduces] == [Fraction(1, 32), Fraction(1, 32)]
     assert r.err_bound <= 0.125
 
@@ -439,8 +440,10 @@ def test_formula_size_lower_bound_doubles_then_bisects(d, lbs):
 
 def test_ledger_csv_shape():
     r = C.compile_formula(parse_formula("(or (and x0 x1) x2)"))
-    rows = r.ledger()
-    assert list(rows[0])[0] == "node_id"
+    header, *rows = r.ledger()
+    assert header[0] == "node_id"
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert all(len(row) == len(header) for row in rows)
     doc = C.recipe_to_json(r)
     assert doc["degree_bound"] == r.degree_bound
     assert doc["root"]["type"] == "gate"

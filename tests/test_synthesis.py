@@ -29,7 +29,7 @@ def test_plan_asymptotic_example():
 
 def test_plan_caps_drawn_operands():
     # widths and fan-ins each under WIDTH_CAP, whose products synth would draw
-    assert S.OPERAND_CAP == 10**8
+    assert (S.OPERAND_CAP, S.INPUT_OPERANDS) == (10**8, 3)
     for d, overrides in [(4, {"A": 16, "M": 10**6}), (3, {"A": 3, "M": 10**7})]:
         p = S.plan(101, d, 0.25, overrides)
         assert all(s.width is not None and s.fan_in is not None for s in p.levels)
@@ -38,12 +38,14 @@ def test_plan_caps_drawn_operands():
         assert p.synth_blockers() == [f"101 inputs and {operands} drawn operands exceed cap {S.OPERAND_CAP}"]
         assert not p.synthesizable
     assert S.plan(**DESK).synthesizable
-    # the inputs count too: a desk plan's operands do not grow with n
+    # the inputs count too, INPUT_OPERANDS operands each: a desk plan's
+    # operands do not grow with n
     small = {"A": 3, "M": 16, "M_top": 16}
     operands = sum(s.width * s.fan_in for s in S.plan(101, 3, 0.25, small).levels)
-    assert S.plan(S.OPERAND_CAP - operands, 3, 0.25, small).synth_blockers() == []
-    assert S.plan(S.OPERAND_CAP - operands + 1, 3, 0.25, small).synth_blockers() == [
-        f"{S.OPERAND_CAP - operands + 1} inputs and {operands} drawn operands exceed cap {S.OPERAND_CAP}"]
+    n_max = (S.OPERAND_CAP - operands) // S.INPUT_OPERANDS
+    assert S.plan(n_max, 3, 0.25, small).synth_blockers() == []
+    assert S.plan(n_max + 1, 3, 0.25, small).synth_blockers() == [
+        f"{n_max + 1} inputs and {operands} drawn operands exceed cap {S.OPERAND_CAP}"]
 
 
 def test_plan_rejects_bad_arguments():
@@ -53,16 +55,16 @@ def test_plan_rejects_bad_arguments():
         S.plan(101, 3, 0.75)
     with pytest.raises(ValueError):
         S.plan(101, 3, 0.25, {"bogus": 1})
-    for key in ("logM", "logM_top"):  # M and M_top are the only width overrides
+    for key in ("logM", "logM_top", "s_top"):  # M and M_top are the only width overrides
         with pytest.raises(ValueError, match=f"unknown overrides: \\['{key}'\\]"):
             S.plan(101, 3, 0.25, {"M": 64, key: 3.0})
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 4]),
-       st.dictionaries(st.sampled_from(["A", "M", "M_top", "s_top"]),
-                       st.one_of(st.integers(), st.floats()), max_size=4))
-@example(3, {"A": 3, "M": 64, "s_top": -1.0})
+       st.dictionaries(st.sampled_from(["A", "M", "M_top"]),
+                       st.one_of(st.integers(), st.floats()), max_size=3))
+@example(3, {"A": 3, "M": 64, "M_top": -1})
 @example(3, {"M": 0})
 @example(3, {"A": 1075})        # 2^-A underflows to 0
 @example(2, {"A": 2 * 10**7})   # level-1 fan-in above the width cap

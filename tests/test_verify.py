@@ -306,8 +306,8 @@ def test_mc_rejects_nonpositive_trials():
 def test_emit_report_empty_and_csv(tmp_path):
     V.emit_report([], tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == ""
-    rows = [{"n": n, "epsilon": 0.125,
-             "degree": V.min_approx_degree(V.majority_truth_table(n), 0.125).degree} for n in (1, 3)]
+    rows = [("n", "epsilon", "degree"),
+            *((n, 0.125, V.min_approx_degree(V.majority_truth_table(n), 0.125).degree) for n in (1, 3))]
     V.emit_report(rows, tmp_path / "degrees.csv")
     lines = (tmp_path / "degrees.csv").read_text().splitlines()
     assert lines[0] == "n,epsilon,degree"
@@ -315,15 +315,15 @@ def test_emit_report_empty_and_csv(tmp_path):
 
 
 def test_emit_report_csv_bytes(tmp_path):
-    # header from the first row's keys, values in header order, None as an
-    # empty cell, csv's \r\n terminators
+    # rows as given, the header first, None as an empty cell, csv's \r\n
+    # terminators
     r = compile_formula(parse_formula("(or (and x0 x1) x2)"))
     V.emit_report(r.ledger(), tmp_path / "ledger.csv")
     assert (tmp_path / "ledger.csv").read_bytes() == (
         b"node_id,kind,size_i,parent_size,eps_num,eps_den,k_or_t,degree_bound\r\n"
         b"0,or,3,3,1,16,4,180\r\n1,reduce,2,3,1,24,15,45\r\n2,and,2,3,1,8,3,3\r\n"
         b"3,var,1,2,0,1,0,1\r\n4,var,1,2,0,1,0,1\r\n5,var,1,3,1,48,0,1\r\n")
-    V.emit_report([{"a": 1, "b": None}, {"b": "x", "a": 2.5}], tmp_path / "t.csv")
+    V.emit_report([("a", "b"), (1, None), (2.5, "x")], tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n1,\r\n2.5,x\r\n"
 
 
